@@ -461,6 +461,12 @@ def verify_equitable_list_coloring(
             return ColoringVerdict(
                 False, ColoringViolation("domain", f"vertex {v} is uncoloured", vertex=v)
             )
+    if len(colors) != g.n:
+        foreign = next(v for v in colors if v not in range(g.n))
+        return ColoringVerdict(
+            False,
+            ColoringViolation("domain", f"vertex {foreign!r} is not in the graph", vertex=foreign),
+        )
     for v in range(g.n):
         if v not in lists or colors[v] not in lists[v]:
             return ColoringVerdict(

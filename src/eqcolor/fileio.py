@@ -64,7 +64,6 @@ def _graph_from_obj(doc: dict[str, Any]) -> Graph:
 
 def _parse_dimacs(text: str) -> Graph:
     n = None
-    declared_m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -77,7 +76,8 @@ def _parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge N M'")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                # M must be numeric but is advisory: duplicate edge lines collapse.
+                n, _ = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric problem line") from None
         elif parts[0] == "e":
@@ -100,13 +100,9 @@ def _parse_dimacs(text: str) -> Graph:
     if n is None:
         raise ParseError("no problem line found")
     try:
-        g = Graph(n, edges)
+        return Graph(n, edges)
     except EqcolorError as exc:
         raise ParseError(f"edge list rejected: {exc}") from exc
-    if declared_m is not None and declared_m != g.edge_count():
-        # The header count is advisory; duplicate lines collapse.
-        pass
-    return g
 
 
 def parse_graph_document(text: str) -> GraphDocument:
@@ -190,6 +186,8 @@ def _lists_from_obj(obj: Any) -> ListAssignment:
             v = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"list key {key!r} is not a vertex id") from None
+        if v in lists:
+            raise ParseError(f"list key {key!r} repeats vertex {v}", context={"vertex": v})
         if not isinstance(value, list):
             raise ParseError(f"list of vertex {v} is not a list", context={"vertex": v})
         lists[v] = [_as_int(c, f"colour of vertex {v}") for c in value]
@@ -221,6 +219,8 @@ def parse_coloring(text: str) -> Coloring:
             v = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"colour key {key!r} is not a vertex id") from None
+        if v in colors:
+            raise ParseError(f"colour key {key!r} repeats vertex {v}", context={"vertex": v})
         colors[v] = _as_int(value, f"colour of vertex {v}")
     return Coloring(colors)
 

@@ -8,6 +8,7 @@ most d*i - 1 neighbours in earlier layers.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -119,22 +120,27 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
     return PartitionVerdict(True)
 
 
-def layer_ordering_exists(ext_degrees: Iterable[int], k: int, d: int) -> list[int] | None:
-    """Ascending order of the degrees if they fit a layer, else None.
+def _certified(ext: list[tuple[int, int]], d: int) -> list[int] | None:
+    """Items of (external degree, item) pairs in certifying order, or None.
 
-    A multiset of external degrees admits a valid position assignment iff
-    its i-th smallest value is at most d*i - 1, so the ascending sort is
-    the canonical witness.
+    The degrees fit a layer iff the i-th smallest is at most d*i - 1, so
+    ascending order is the canonical witness.
     """
+    ext.sort()
+    for i, (e, _) in enumerate(ext, start=1):
+        if e > d * i - 1:
+            return None
+    return [v for _, v in ext]
+
+
+def layer_ordering_exists(ext_degrees: Iterable[int], k: int, d: int) -> list[int] | None:
+    """Ascending order of the degrees if they fit a layer, else None."""
     if k < 1 or d < 1:
         raise InputError("k and d must be positive")
-    vals = sorted(ext_degrees)
+    vals = list(ext_degrees)
     if len(vals) != k:
         raise InputError(f"expected {k} degrees, got {len(vals)}")
-    for i, val in enumerate(vals, start=1):
-        if val > d * i - 1:
-            return None
-    return vals
+    return _certified([(e, e) for e in vals], d)
 
 
 class SearchStatus(Enum):
@@ -150,20 +156,47 @@ class SearchResult:
     expanded: int
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _ordered_if_feasible(
-    g: Graph, subset: frozenset[int], universe: frozenset[int], k: int, d: int
+    g: Graph, subset: frozenset[int], degu: dict[int, int], d: int
 ) -> list[int] | None:
-    """Certifying order for subset as a peeled layer, or None."""
-    rest = universe - subset
-    ext = sorted((len(g.neighbor_set(v) & rest), v) for v in subset)
-    for i, (e, _) in enumerate(ext, start=1):
-        if e > d * i - 1:
-            return None
-    return [v for _, v in ext]
+    """Certifying order for subset as the last layer of degu's vertices, or None."""
+    return _certified([(degu[v] - len(g.neighbor_set(v) & subset), v) for v in subset], d)
+
+
+def _last_layer_candidates(
+    g: Graph, universe: frozenset[int], k: int, d: int
+) -> Iterator[list[int] | None]:
+    """Certifying order, or None, of each candidate last layer of universe.
+
+    Candidates come in the order of combinations(sorted(universe), k) and
+    include every feasible layer: its position-1 vertex v (the anchor) has
+    at most d - 1 neighbours outside it, so it is v's closed neighbourhood
+    in universe minus at most d - 1 dropped neighbours, plus a completion.
+    With a fixed base, lexicographic completions give lexicographic
+    layers, so the merged streams are ordered and repeats are adjacent.
+    """
+    degu = {v: len(g.neighbor_set(v) & universe) for v in universe}
+    # A member keeps at most d*k - 1 external and k - 1 internal neighbours.
+    members = sorted(v for v in universe if degu[v] <= d * k + k - 2)
+    eligible = set(members)
+    streams = []
+    for v in members:
+        if degu[v] > d + k - 2:  # v would drop over d - 1 or keep over k - 1
+            continue
+        nset = g.neighbor_set(v)
+        nbrs = sorted(nset & universe)
+        others = [u for u in members if u != v and u not in nset]
+        for size in range(max(0, len(nbrs) + 1 - k), min(d - 1, len(nbrs)) + 1):
+            for dropped in combinations(nbrs, size):
+                base = tuple(sorted({v, *nbrs}.difference(dropped)))
+                if eligible.issuperset(base):
+                    completions = combinations(others, k - len(base))
+                    streams.append(map(sorted, map(base.__add__, completions)))
+    last = None
+    for cand in heapq.merge(*streams):
+        if cand != last:
+            last = cand
+            yield _ordered_if_feasible(g, frozenset(cand), degu, d)
 
 
 def search_kd_partition(
@@ -171,60 +204,49 @@ def search_kd_partition(
 ) -> SearchResult:
     """Exact backtracking search for a (k, d) layer partition.
 
-    Layers are peeled from the back: at each step every k-subset of the
-    remaining vertices is tried in lexicographic order of sorted vertex
-    ids, keeping only subsets whose external degrees admit an ordering.
-    A level is skipped outright when no remaining vertex could fill the
-    first position (degree above d + k - 2 forces an external degree
-    above d - 1).
+    Layers are peeled from the back, trying each step's feasible last
+    layers in lexicographic order of sorted vertex ids, so a found
+    partition is the lexicographically first peel sequence.  Candidates
+    are built around anchors: a vertex of degree at most d + k - 2 plus
+    all but at most d - 1 of its remaining neighbours.  Remaining-vertex
+    sets proved dead are not searched twice in a call, and backtracking
+    uses an explicit stack, not recursion.
 
-    The budget counts candidate subsets expanded; PROVED_ABSENT is
-    returned only when the whole space was covered, BUDGET_EXHAUSTED when
-    the count ran out first.
+    `expanded` counts distinct candidate subsets tested, and the budget
+    bounds it.  PROVED_ABSENT is returned only when the whole space was
+    covered, BUDGET_EXHAUSTED when the count ran out first.
     """
     if k < 1 or d < 1:
         raise InputError("k and d must be positive")
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
+    universe = frozenset(range(g.n))
+    if g.n <= k:
+        return SearchResult(SearchStatus.FOUND, KdPartition(k, d, [sorted(universe)]), 0)
     expanded = 0
-
-    def peel(universe: frozenset[int]) -> list[list[int]] | None:
-        nonlocal expanded
-        if len(universe) <= k:
-            return [sorted(universe)]
-        members = sorted(universe)
-        degu = {v: len(g.neighbor_set(v) & universe) for v in members}
-        if not any(degu[v] <= d + k - 2 for v in members):
-            return None
-        cap = d * k - 1
-        for subset in combinations(members, k):
+    dead: set[frozenset[int]] = set()
+    stack = [(universe, _last_layer_candidates(g, universe, k, d))]
+    peeled: list[list[int]] = []
+    while stack:
+        universe, candidates = stack[-1]
+        for layer in candidates:
             if budget is not None and expanded >= budget:
-                raise _BudgetExhausted
+                return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, expanded)
             expanded += 1
-            sset = frozenset(subset)
-            ext = sorted((degu[v] - len(g.neighbor_set(v) & sset), v) for v in subset)
-            if ext[-1][0] > cap:
+            if layer is None or (rest := universe.difference(layer)) in dead:
                 continue
-            feasible = True
-            for i, (e, _) in enumerate(ext, start=1):
-                if e > d * i - 1:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            below = peel(universe - sset)
-            if below is not None:
-                below.append([v for _, v in ext])
-                return below
-        return None
-
-    try:
-        layers = peel(frozenset(range(g.n)))
-    except _BudgetExhausted:
-        return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, expanded)
-    if layers is None:
-        return SearchResult(SearchStatus.PROVED_ABSENT, None, expanded)
-    return SearchResult(SearchStatus.FOUND, KdPartition(k, d, layers), expanded)
+            peeled.append(layer)
+            if len(rest) <= k:
+                layers = [sorted(rest)] + peeled[::-1]
+                return SearchResult(SearchStatus.FOUND, KdPartition(k, d, layers), expanded)
+            stack.append((rest, _last_layer_candidates(g, rest, k, d)))
+            break
+        else:
+            dead.add(universe)
+            stack.pop()
+            if peeled:
+                peeled.pop()
+    return SearchResult(SearchStatus.PROVED_ABSENT, None, expanded)
 
 
 def greedy_kd_partition(g: Graph, k: int, d: int) -> KdPartition | None:
@@ -241,48 +263,26 @@ def greedy_kd_partition(g: Graph, k: int, d: int) -> KdPartition | None:
     peeled_rev: list[list[int]] = []
     while len(universe) > k:
         degu = {v: len(g.neighbor_set(v) & universe) for v in universe}
-        cand = sorted(universe, key=lambda v: (degu[v], v))[:k]
-        sset = set(cand)
-        ext = sorted((degu[v] - len(g.neighbor_set(v) & sset), v) for v in cand)
-        for i, (e, _) in enumerate(ext, start=1):
-            if e > d * i - 1:
-                return None
-        peeled_rev.append([v for _, v in ext])
+        sset = frozenset(sorted(universe, key=lambda v: (degu[v], v))[:k])
+        layer = _ordered_if_feasible(g, sset, degu, d)
+        if layer is None:
+            return None
+        peeled_rev.append(layer)
         universe -= sset
     layers = [sorted(universe)] + peeled_rev[::-1]
     return KdPartition(k, d, layers)
 
 
 def enumerate_last_layers(g: Graph, k: int, d: int) -> Iterator[list[int]]:
-    """Yield every ordered k-subset usable as the final layer.
+    """Yield every ordered k-subset usable as the final layer, each once.
 
-    For d == 1 the position-1 vertex must keep all its neighbours inside
-    the subset, so candidates are built from closed neighbourhoods of
-    vertices with degree below k; for d >= 2 this falls back to plain
-    combinations and can be expensive on large graphs.
+    Only subsets built around an anchor are tested, as in
+    search_kd_partition; layers come in lexicographic order of sorted ids.
     """
     if k < 1 or d < 1:
         raise InputError("k and d must be positive")
     if g.n < k:
         raise InputError(f"graph has {g.n} vertices, need at least k={k}")
-    universe = frozenset(range(g.n))
-    if d == 1:
-        seen: set[frozenset[int]] = set()
-        for v in range(g.n):
-            if g.degree(v) > k - 1:
-                continue
-            base = g.neighbor_set(v) | {v}
-            others = sorted(universe - base)
-            for completion in combinations(others, k - len(base)):
-                sset = base | frozenset(completion)
-                if sset in seen:
-                    continue
-                seen.add(sset)
-                layer = _ordered_if_feasible(g, sset, universe, k, d)
-                if layer is not None:
-                    yield layer
-    else:
-        for subset in combinations(range(g.n), k):
-            layer = _ordered_if_feasible(g, frozenset(subset), universe, k, d)
-            if layer is not None:
-                yield layer
+    for layer in _last_layer_candidates(g, frozenset(range(g.n)), k, d):
+        if layer is not None:
+            yield layer

@@ -83,6 +83,38 @@ def all_feasible_last_layers(g: Graph, k: int, d: int) -> set[frozenset[int]]:
     return out
 
 
+def first_peel_sequence(g: Graph, k: int, d: int) -> list[list[int]] | None:
+    """Layers of the lexicographically first peel sequence, or None.
+
+    Peels a last layer off the remaining vertices by trying their k-subsets
+    in itertools.combinations order.  A subset is usable when, sorted by
+    (external degree, id), its i-th vertex has at most d*i - 1 remaining
+    neighbours outside it; that sort is the layer's stored order.  The
+    first layer is whatever is left once at most k vertices remain, sorted.
+    Remaining-vertex bitmasks known to fail are cached to keep it quick.
+    """
+    masks = adjacency_masks(g)
+    failed: set[int] = set()
+
+    def peel(remaining: int) -> list[list[int]] | None:
+        ids = [v for v in range(g.n) if remaining >> v & 1]
+        if len(ids) <= k:
+            return [ids]
+        if remaining in failed:
+            return None
+        for combo in itertools.combinations(ids, k):
+            outside = remaining & ~sum(1 << v for v in combo)
+            order = sorted(((masks[v] & outside).bit_count(), v) for v in combo)
+            if all(e <= d * i - 1 for i, (e, _) in enumerate(order, start=1)):
+                below = peel(outside)
+                if below is not None:
+                    return below + [[v for _, v in order]]
+        failed.add(remaining)
+        return None
+
+    return peel((1 << g.n) - 1)
+
+
 def verify_coloring_by_subsets(g, lists, t, coloring: Coloring, d: int) -> ColoringVerdict:
     """Same clauses as the package verifier, degeneracy done by subsets."""
     colors = coloring.colors

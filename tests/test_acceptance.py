@@ -142,10 +142,9 @@ def test_criterion_4_clique_chain_partition_facts():
         res = search_kd_partition(bundle.graph, 5, 1)
         assert res.status is SearchStatus.PROVED_ABSENT
 
-        # Wider layers on the q=2 chain: not settled exhaustively here.
-        # Every feasible first peel must swallow the entire last clique
-        # plus one graded vertex of the previous copy, so no peel avoids
-        # that forced structure; reported as evidence, not proof.
+        # Wider layers on the q=2 chain: every feasible first peel must
+        # swallow the entire last clique plus one graded vertex of the
+        # previous copy, and the exhaustive search proves no partition.
         big = gen_gq(2)
         last_clique = {big.id_of(f"v_{j}^5") for j in range(1, 7)}
         peels = [frozenset(s) for s in enumerate_last_layers(big.graph, 7, 1)]
@@ -159,8 +158,7 @@ def test_criterion_4_clique_chain_partition_facts():
             "  evidence: every feasible 7-wide first peel of the q=2 chain "
             "contains the whole last clique plus one of v_1^4, v_2^4"
         )
-        bounded = search_kd_partition(big.graph, 7, 1, budget=20_000)
-        assert bounded.status is not SearchStatus.FOUND
+        assert search_kd_partition(big.graph, 7, 1).status is SearchStatus.PROVED_ABSENT
 
 
 def test_criterion_5_grid_sweep():

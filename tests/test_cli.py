@@ -170,10 +170,10 @@ class TestPartitionSearch:
 
     def test_budget_exhaustion_exits_two(self, tmp_path, run):
         gpath = tmp_path / "g.json"
-        run("gen", "gq", "-q", "1", "--out", str(gpath))
+        run("gen", "gq", "-q", "2", "--out", str(gpath))
         code, out = run(
             "partition", "search", "--graph", str(gpath),
-            "-k", "6", "-d", "1", "--budget", "5",
+            "-k", "7", "-d", "1", "--budget", "5",
         )
         assert code == 2
         payload = json.loads(out)
@@ -251,6 +251,16 @@ class TestVerifyColoring:
         payload = json.loads(out)
         assert payload["valid"] is False
         assert payload["violation"]["clause"] == "list"
+
+    def test_repeated_vertex_key_exits_three(self, tmp_path, run, example_doc):
+        cpath = tmp_path / "c.json"
+        cpath.write_text('{"colors": {"0": 1, "00": 2}}')
+        code, out = run(
+            "verify-coloring", "--graph", example_doc,
+            "--coloring", str(cpath), "-d", "3",
+        )
+        assert code == 3
+        assert json.loads(out)["code"] == "parse-error"
 
     def test_t_mismatch_rejected(self, tmp_path, run, example_doc):
         cpath = tmp_path / "c.json"

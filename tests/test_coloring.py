@@ -464,6 +464,16 @@ class TestVerifier:
         assert not verdict.valid
         assert verdict.violation.clause == "degeneracy"
 
+    def test_foreign_vertex_is_a_domain_violation(self):
+        g = Graph(2)
+        lists = ListAssignment(2, {0: [1, 2], 1: [1, 2]})
+        verdict = verify_equitable_list_coloring(
+            g, lists, 2, Coloring({0: 1, 1: 2, 99: 7}), 1
+        )
+        assert not verdict.valid
+        assert verdict.violation.clause == "domain"
+        assert verdict.violation.vertex == 99
+
     def test_domain_reported_before_list(self):
         g, lists, _ = self.make_valid()
         verdict = verify_equitable_list_coloring(g, lists, 2, Coloring({0: 9}), 1)

@@ -195,6 +195,11 @@ class TestListsDocuments:
         with pytest.raises(ParseError):
             parse_lists('{"t": 1, "lists": {"0": 5}}')
 
+    def test_repeated_vertex_key(self):
+        with pytest.raises(ParseError) as info:
+            parse_lists('{"t": 1, "lists": {"3": [1], "03": [2]}}')
+        assert info.value.context == {"vertex": 3}
+
     def test_uniformity_enforced(self):
         with pytest.raises(ParseError):
             parse_lists('{"t": 2, "lists": {"0": [1]}}')
@@ -215,6 +220,11 @@ class TestColoringDocuments:
             parse_coloring('{"colors": {"x": 1}}')
         with pytest.raises(ParseError):
             parse_coloring('{"colors": {"0": "red"}}')
+
+    def test_repeated_vertex_key(self):
+        with pytest.raises(ParseError) as info:
+            parse_coloring('{"colors": {"3": 1, "03": 2}}')
+        assert info.value.context == {"vertex": 3}
 
 
 def test_dump_is_parseable_json_with_trailing_newline():

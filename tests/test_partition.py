@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,11 @@ from eqcolor import (
     search_kd_partition,
     verify_kd_partition,
 )
-from oracles import all_feasible_last_layers, partition_exists_by_permutations
+from oracles import (
+    all_feasible_last_layers,
+    first_peel_sequence,
+    partition_exists_by_permutations,
+)
 
 
 def path(n):
@@ -198,8 +203,8 @@ class TestSearch:
         assert verify_kd_partition(complete(3), res.partition).valid
 
     def test_budget_exhaustion(self):
-        bundle = gen_gq(1)
-        res = search_kd_partition(bundle.graph, 6, 1, budget=5)
+        bundle = gen_gq(2)
+        res = search_kd_partition(bundle.graph, 7, 1, budget=5)
         assert res.status is SearchStatus.BUDGET_EXHAUSTED
         assert res.partition is None
         assert res.expanded >= 5
@@ -231,6 +236,35 @@ class TestSearch:
             hits += expected
         # the corpus must exercise both outcomes to mean anything
         assert 0 < hits < 120
+
+    def test_returns_lexicographically_first_peel_sequence(self):
+        rng = random.Random(6007)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng.random(), rng)
+            k = rng.randint(1, n)
+            d = rng.randint(1, 3)
+            res = search_kd_partition(g, k, d)
+            expected = first_peel_sequence(g, k, d)
+            if expected is None:
+                assert res.status is SearchStatus.PROVED_ABSENT
+            else:
+                assert res.status is SearchStatus.FOUND
+                assert res.partition.layers == expected
+                found += 1
+        assert 0 < found < 300
+
+    def test_depth_is_not_bounded_by_recursion_limit(self):
+        g = Graph(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            res = search_kd_partition(g, 1, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.status is SearchStatus.FOUND
+        assert verify_kd_partition(g, res.partition).valid
 
 
 class TestGreedy:
@@ -278,7 +312,7 @@ class TestEnumerateLastLayers:
             n = rng.randint(2, 7)
             g = random_graph(n, rng.random(), rng)
             k = rng.randint(1, n)
-            d = rng.randint(1, 2)
+            d = rng.randint(1, 3)
             got = {frozenset(s) for s in enumerate_last_layers(g, k, d)}
             assert got == all_feasible_last_layers(g, k, d)
 
