@@ -40,7 +40,7 @@ from .graph import (
     is_d_degenerate,
     max_degree,
 )
-from .grids import GridSpec, IncompleteGrid, corner, make_grid, partition3d
+from .grids import GridSpec, make_grid, partition3d
 from .partition import (
     KdPartition,
     PartitionVerdict,
@@ -63,7 +63,6 @@ __all__ = [
     "EqcolorError",
     "Graph",
     "GridSpec",
-    "IncompleteGrid",
     "InputError",
     "InvariantError",
     "KdPartition",
@@ -80,7 +79,6 @@ __all__ = [
     "colour_list",
     "colour_vertex",
     "compute_counters",
-    "corner",
     "degeneracy",
     "enumerate_last_layers",
     "equitable_coloring",

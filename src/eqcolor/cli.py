@@ -2,7 +2,8 @@
 
 Subcommands generate graphs, build and verify layer partitions, run the
 equitable list colouring, verify colourings, and compute degeneracy.
-Documents travel as JSON on files or stdin/stdout ("-"); errors leave as
+Documents travel as JSON on files or stdin/stdout ("-"), with at most one
+document read from stdin per call; errors leave as
 {"code", "message", "context"} objects with exit code 2 (bad input or
 exhausted budget) or 3 (parse failure). Exit 1 means a verifier said no
 or a search proved absence.
@@ -310,6 +311,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        from_stdin = [
+            f"--{name}"
+            for name in ("graph", "partition", "lists", "coloring")
+            if getattr(args, name, None) == "-"
+        ]
+        if len(from_stdin) > 1:
+            raise InputError(
+                f"only one document can come from stdin, got {' and '.join(from_stdin)}"
+            )
         return args.func(args)
     except ParseError as exc:
         sys.stdout.write(_error_payload("parse-error", exc))

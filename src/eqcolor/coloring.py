@@ -222,8 +222,16 @@ def colour_vertex(state: AlgorithmState, v: int) -> int:
             },
         )
     c = min(lv) if state.rng is None else state.rng.choice(sorted(lv))
-    state.colors[v] = c
     d = state.d
+    if state.debug and state.counts[v].get(c, 0) >= d:
+        # Every vertex joins its class with at most d-1 earlier same-coloured
+        # neighbours, so colouring order is a smallest-last certificate that
+        # each class is (d-1)-degenerate.
+        raise InvariantError(
+            f"colour class {c} lost ({d - 1})-degeneracy at vertex {v}",
+            context={"vertex": v, "color": c, "same_coloured_neighbours": state.counts[v][c]},
+        )
+    state.colors[v] = c
     colors = state.colors
     for w in state.graph.neighbors(v):
         cnt = state.counts[w]
@@ -231,14 +239,6 @@ def colour_vertex(state: AlgorithmState, v: int) -> int:
         cnt[c] = new
         if new == d and w not in colors:
             state.lists[w].discard(c)
-    if state.debug:
-        members = [u for u, cu in colors.items() if cu == c]
-        sub, _ = induced_subgraph(state.graph, members)
-        if not is_d_degenerate(sub, d - 1):
-            raise InvariantError(
-                f"colour class {c} lost ({d - 1})-degeneracy after vertex {v}",
-                context={"vertex": v, "color": c, "class_size": len(members)},
-            )
     return c
 
 

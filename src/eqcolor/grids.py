@@ -86,167 +86,86 @@ def make_grid(dims: tuple[int, ...] | list[int]) -> tuple[Graph, GridSpec]:
     return Graph(spec.n, edges), spec
 
 
-class IncompleteGrid:
-    """A grid with some vertices removed, sliced by first coordinate.
-
-    Layers are the slices with a fixed first coordinate; each layer stores
-    the coordinate suffixes still present. Removal never re-adds, so the
-    pointer to the first non-empty layer only moves forward.
-    """
-
-    def __init__(self, spec: GridSpec) -> None:
-        if len(spec.dims) < 2:
-            raise InputError("IncompleteGrid requires at least two dimensions")
-        self.spec = spec
-        suffixes = [()]
-        for size in spec.dims[1:]:
-            suffixes = [s + (c,) for s in suffixes for c in range(1, size + 1)]
-        self._layers: list[set[tuple[int, ...]]] = [
-            set(suffixes) for _ in range(spec.dims[0])
-        ]
-        self._first = 0
-        self._remaining = spec.n
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    @property
-    def prefix_complete(self) -> bool:
-        """True when every layer after the first non-empty one is full."""
-        full = math.prod(self.spec.dims[1:])
-        tail = [layer for layer in self._layers if layer]
-        return all(len(layer) == full for layer in tail[1:])
-
-    def present(self, coord: tuple[int, ...]) -> bool:
-        if not 1 <= coord[0] <= self.spec.dims[0]:
-            return False
-        return coord[1:] in self._layers[coord[0] - 1]
-
-    def remove(self, coord: tuple[int, ...]) -> None:
-        layer = self._layers[coord[0] - 1]
-        if coord[1:] not in layer:
-            raise InvariantError(f"removing absent vertex {coord}")
-        layer.remove(coord[1:])
-        self._remaining -= 1
-
-    def degree(self, coord: tuple[int, ...]) -> int:
-        deg = 0
-        for axis, size in enumerate(self.spec.dims):
-            for delta in (-1, 1):
-                c = coord[axis] + delta
-                if 1 <= c <= size and self.present(coord[:axis] + (c,) + coord[axis + 1 :]):
-                    deg += 1
-        return deg
-
-    def first_nonempty_layer(self) -> int:
-        """1-based first coordinate of the lowest non-empty layer."""
-        while self._first < len(self._layers) and not self._layers[self._first]:
-            self._first += 1
-        if self._first == len(self._layers):
-            raise InputError("grid is empty")
-        return self._first + 1
-
-    def layer_size(self, a1: int) -> int:
-        if not 1 <= a1 <= self.spec.dims[0]:
-            return 0
-        return len(self._layers[a1 - 1])
-
-    def min_on_layer(self, a1: int) -> tuple[int, ...] | None:
-        """Lexicographically smallest present vertex with first coordinate a1."""
-        if not 1 <= a1 <= self.spec.dims[0] or not self._layers[a1 - 1]:
-            return None
-        return (a1, *min(self._layers[a1 - 1]))
-
-
-def corner(ig: IncompleteGrid) -> tuple[int, ...]:
-    """Lexicographically smallest present vertex.
-
-    Coordinate-wise this is the first non-empty layer followed by the
-    iterated minima over the remaining axes. Every neighbour reachable by
-    decrementing one coordinate is absent, so the degree in the remaining
-    graph never exceeds the number of dimensions; that bound is asserted.
-    """
-    a1 = ig.first_nonempty_layer()
-    coord = ig.min_on_layer(a1)
-    assert coord is not None
-    deg = ig.degree(coord)
-    if deg > len(ig.spec.dims):
-        raise InvariantError(
-            f"corner {coord} has degree {deg}, expected at most {len(ig.spec.dims)}",
-            context={"coord": list(coord), "degree": deg},
-        )
-    return coord
-
-
 def partition3d(dims: tuple[int, ...] | list[int]) -> KdPartition:
     """Direct (3, 2)-partition of a 3-dimensional grid, no search involved.
 
     Layers are peeled back to front. Each round removes the corner y1 of
     the remaining grid plus two companions picked by the corner's
     remaining degree; companions are the corner's in-layer neighbours when
-    the degree forces them, and otherwise the smallest present vertex on
-    the corner's layer, then on the next layer. Each triple is stored in
-    ascending order of external degree into what is left: the corner
-    always has at most 1, the second vertex then has at most 3 and the
-    third at most 4, which certifies the layer for k=3, d=2. (Storing the
-    removal order itself is not enough: when the corner's only in-layer
-    neighbour is the one in the next row, that neighbour can keep 4
-    external neighbours, one row below included.)
+    the degree forces them, and otherwise the smallest present vertices.
+    Ids follow coordinate order, so the corner is the smallest present id:
+    every neighbour one step lower on an axis is gone, which bounds its
+    degree by 3, and a forward-only cursor over a present bitmap finds it
+    in amortised constant time. Each triple is stored in ascending order
+    of external degree into what is left: the corner always has at most
+    1, the second vertex then has at most 3 and the third at most 4,
+    which certifies the layer for k=3, d=2. (Storing the removal order
+    itself is not enough: when the corner's only in-layer neighbour is
+    the one in the next row, that neighbour can keep 4 external
+    neighbours, one row below included.)
     """
     spec = GridSpec.from_dims(dims)
     if len(spec.dims) != 3:
         raise InputError("partition3d requires exactly three dimensions")
-    ig = IncompleteGrid(spec)
-    n = spec.n
-    alpha = math.ceil(n / 3) - 1
-    layers_rev: list[list[int]] = []
+    _, rows, cols = spec.dims
+    axes = tuple(zip(spec.strides, spec.dims))
+    present = bytearray(b"\x01") * spec.n
+    cursor = 0
 
-    for _ in range(alpha):
-        y1 = corner(ig)
-        a1, a2, a3 = y1
-        deg = ig.degree(y1)
-        ig.remove(y1)
+    def degree(v: int) -> int:
+        deg = 0
+        for stride, size in axes:
+            c = v // stride % size
+            if c and present[v - stride]:
+                deg += 1
+            if c < size - 1 and present[v + stride]:
+                deg += 1
+        return deg
+
+    def take_smallest() -> int:
+        nonlocal cursor
+        cursor = present.index(1, cursor)
+        present[cursor] = 0
+        return cursor
+
+    layers_rev: list[list[int]] = []
+    for _ in range(math.ceil(spec.n / 3) - 1):
+        y1 = take_smallest()
+        deg = degree(y1)
+        if deg > 3:
+            raise InvariantError(
+                f"corner {spec.coord_of(y1)} has degree {deg}, expected at most 3",
+                context={"coord": list(spec.coord_of(y1)), "degree": deg},
+            )
+        # In-layer neighbours one step along the last and the middle axis.
+        right = y1 + 1 if y1 % cols < cols - 1 and present[y1 + 1] else None
+        down = y1 + cols if y1 // cols % rows < rows - 1 and present[y1 + cols] else None
         if deg <= 1:
-            y2 = corner(ig)
-            ig.remove(y2)
-            y3 = ig.min_on_layer(a1) or ig.min_on_layer(a1 + 1) or corner(ig)
-            ig.remove(y3)
+            y2, y3 = take_smallest(), take_smallest()
         elif deg == 2:
-            y2 = None
-            for cand in ((a1, a2, a3 + 1), (a1, a2 + 1, a3)):
-                if cand[1] <= spec.dims[1] and cand[2] <= spec.dims[2] and ig.present(cand):
-                    y2 = cand
-                    break
+            y2 = right if right is not None else down
             if y2 is None:
                 raise InvariantError(
-                    f"degree-2 corner {y1} has no in-layer neighbour",
-                    context={"coord": list(y1)},
+                    f"degree-2 corner {spec.coord_of(y1)} has no in-layer neighbour",
+                    context={"coord": list(spec.coord_of(y1))},
                 )
-            ig.remove(y2)
-            y3 = ig.min_on_layer(a1) or ig.min_on_layer(a1 + 1) or corner(ig)
-            ig.remove(y3)
+            present[y2] = 0
+            y3 = take_smallest()
+        elif right is None or down is None:
+            raise InvariantError(
+                f"degree-3 corner {spec.coord_of(y1)} misses an in-layer neighbour",
+                context={"coord": list(spec.coord_of(y1)), "degree": deg},
+            )
         else:
-            y2 = (a1, a2, a3 + 1)
-            y3 = (a1, a2 + 1, a3)
-            if not (ig.present(y2) and ig.present(y3)):
-                raise InvariantError(
-                    f"degree-3 corner {y1} misses an in-layer neighbour",
-                    context={"coord": list(y1), "degree": deg},
-                )
-            ig.remove(y2)
-            ig.remove(y3)
-        triple = sorted((ig.degree(v), spec.id_of(v)) for v in (y1, y2, y3))
-        layers_rev.append([vid for _, vid in triple])
+            y2, y3 = right, down
+            present[y2] = present[y3] = 0
+        triple = sorted((degree(v), v) for v in (y1, y2, y3))
+        layers_rev.append([v for _, v in triple])
 
-    leftover = []
-    for a1 in range(1, spec.dims[0] + 1):
-        for suffix in sorted(ig._layers[a1 - 1]):
-            leftover.append(spec.id_of((a1, *suffix)))
+    leftover = [v for v in range(cursor, spec.n) if present[v]]
     if not 1 <= len(leftover) <= 3:
         raise InvariantError(
             f"leftover first layer has {len(leftover)} vertices",
             context={"size": len(leftover)},
         )
-    layers = [leftover] + list(reversed(layers_rev))
-    return KdPartition(k=3, d=2, layers=layers)
+    return KdPartition(k=3, d=2, layers=[leftover, *reversed(layers_rev)])

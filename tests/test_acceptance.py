@@ -253,27 +253,29 @@ def test_criterion_7_oracle_agreement():
 def test_criterion_8_grid_scaling():
     with criterion(8, "near-linear grid scaling", 120.0):
         sizes = [(333, 3, 3), (667, 3, 3), (1333, 3, 3), (2667, 3, 3)]
-        medians = []
         rng = random.Random(88)
+        instances = []
+        for dims in sizes:
+            g, _ = make_grid(dims)
+            instances.append((g, partition3d(dims), ListAssignment.uniform_random(g.n, 4, 8, rng)))
+        # Every round times all four sizes back to back, so a drift in host
+        # speed between rounds hits each size alike instead of skewing a ratio.
+        for _ in range(2):  # warmup
+            for g, p, lists in instances:
+                equitable_coloring(g, p, lists)
+        trials: list[list[float]] = [[] for _ in sizes]
         gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            for dims in sizes:
-                g, _ = make_grid(dims)
-                p = partition3d(dims)
-                lists = ListAssignment.uniform_random(g.n, 4, 8, rng)
-                for _ in range(2):  # warmup
-                    equitable_coloring(g, p, lists)
-                gc.disable()
-                trials = []
-                for _ in range(5):
+            for _ in range(5):
+                for times, (g, p, lists) in zip(trials, instances):
                     start = time.perf_counter()
                     equitable_coloring(g, p, lists)
-                    trials.append(time.perf_counter() - start)
-                gc.enable()
-                medians.append(statistics.median(trials))
+                    times.append(time.perf_counter() - start)
         finally:
             if gc_was_enabled:
                 gc.enable()
+        medians = [statistics.median(times) for times in trials]
         for small, big in zip(medians, medians[1:]):
             ratio = big / small
             print(f"  doubling ratio: {ratio:.2f}")

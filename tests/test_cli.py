@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,16 @@ class TestPartitionVerify:
         code, out = run("partition", "verify", "--graph", str(gpath))
         assert code == 2
         assert json.loads(out)["code"] == "input-error"
+
+    def test_two_stdin_documents_rejected(self, run, example_doc, monkeypatch):
+        stdin = io.StringIO(Path(example_doc).read_text())
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out = run("partition", "verify", "--graph", "-", "--partition", "-")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["code"] == "input-error"
+        assert "--graph and --partition" in payload["message"]
+        assert stdin.tell() == 0  # rejected before any document is read
 
 
 class TestPartitionGrid3d:
@@ -261,6 +272,29 @@ class TestVerifyColoring:
         )
         assert code == 3
         assert json.loads(out)["code"] == "parse-error"
+
+    def test_two_stdin_documents_rejected(self, tmp_path, run, example_doc, monkeypatch):
+        cpath = tmp_path / "c.json"
+        run("color", "--graph", example_doc, "--out", str(cpath))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(cpath.read_text()))
+        code, out = run(
+            "verify-coloring", "--graph", example_doc,
+            "--lists", "-", "--coloring", "-", "-d", "3",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["code"] == "input-error"
+        assert "--lists and --coloring" in payload["message"]
+
+    def test_coloring_from_stdin(self, tmp_path, run, example_doc, monkeypatch):
+        cpath = tmp_path / "c.json"
+        run("color", "--graph", example_doc, "--out", str(cpath))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(cpath.read_text()))
+        code, out = run(
+            "verify-coloring", "--graph", example_doc, "--coloring", "-", "-d", "3",
+        )
+        assert code == 0
+        assert json.loads(out) == {"valid": True}
 
     def test_t_mismatch_rejected(self, tmp_path, run, example_doc):
         cpath = tmp_path / "c.json"

@@ -151,6 +151,18 @@ class TestColourVertex:
         assert exc.value.context["vertex"] == 1
         assert exc.value.context["n"] == 2
 
+    def test_debug_rejects_colour_worn_by_d_neighbours(self):
+        g = Graph(2, [(0, 1)])
+        state = self.make_state(g, {0: [1, 2], 1: [1, 2]}, d=1, debug=True)
+        assert colour_vertex(state, 0) == 1
+        assert state.lists[1] == {2}
+        state.lists[1].add(1)  # undo the prune, so vertex 1 would join class 1
+        with pytest.raises(InvariantError) as exc:
+            colour_vertex(state, 1)
+        assert exc.value.context["vertex"] == 1
+        assert exc.value.context["color"] == 1
+        assert 1 not in state.colors
+
     def test_double_colouring_rejected(self):
         state = self.make_state(Graph(1), {0: [1]})
         colour_vertex(state, 0)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -8,10 +10,7 @@ import pytest
 
 from eqcolor import (
     GridSpec,
-    IncompleteGrid,
     InputError,
-    InvariantError,
-    corner,
     make_grid,
     partition3d,
     verify_kd_partition,
@@ -101,105 +100,6 @@ class TestMakeGrid:
         assert max(g.degree(v) for v in range(g.n)) == 6
 
 
-class TestIncompleteGrid:
-    def test_full_grid_state(self):
-        ig = IncompleteGrid(GridSpec.from_dims((4, 3, 2)))
-        assert ig.remaining == 24
-        assert ig.prefix_complete
-        assert ig.first_nonempty_layer() == 1
-        assert ig.layer_size(1) == 6
-        assert ig.min_on_layer(1) == (1, 1, 1)
-
-    def test_remove_and_present(self):
-        ig = IncompleteGrid(GridSpec.from_dims((3, 3)))
-        assert ig.present((1, 1))
-        ig.remove((1, 1))
-        assert not ig.present((1, 1))
-        assert ig.remaining == 8
-        with pytest.raises(InvariantError):
-            ig.remove((1, 1))
-
-    def test_degree_tracks_removals(self):
-        ig = IncompleteGrid(GridSpec.from_dims((3, 3)))
-        assert ig.degree((2, 2)) == 4
-        ig.remove((1, 2))
-        assert ig.degree((2, 2)) == 3
-        ig.remove((2, 1))
-        ig.remove((2, 3))
-        ig.remove((3, 2))
-        assert ig.degree((2, 2)) == 0
-
-    def test_first_nonempty_layer_advances(self):
-        ig = IncompleteGrid(GridSpec.from_dims((3, 2)))
-        for suffix in ((1,), (2,)):
-            ig.remove((1, *suffix))
-        assert ig.first_nonempty_layer() == 2
-
-    def test_empty_grid_raises(self):
-        ig = IncompleteGrid(GridSpec.from_dims((2, 2)))
-        for a in (1, 2):
-            for b in (1, 2):
-                ig.remove((a, b))
-        with pytest.raises(InputError):
-            ig.first_nonempty_layer()
-
-    def test_prefix_complete_detects_holes_behind_front(self):
-        ig = IncompleteGrid(GridSpec.from_dims((3, 2)))
-        ig.remove((1, 1))
-        assert ig.prefix_complete
-        ig.remove((2, 1))
-        assert not ig.prefix_complete
-
-    def test_min_on_layer_edge_cases(self):
-        ig = IncompleteGrid(GridSpec.from_dims((2, 2)))
-        assert ig.min_on_layer(0) is None
-        assert ig.min_on_layer(3) is None
-        ig.remove((1, 1))
-        assert ig.min_on_layer(1) == (1, 2)
-        ig.remove((1, 2))
-        assert ig.min_on_layer(1) is None
-
-    def test_needs_two_dimensions(self):
-        with pytest.raises(InputError):
-            IncompleteGrid(GridSpec.from_dims((5,)))
-
-
-class TestCorner:
-    def test_full_grid_corner_is_origin(self):
-        ig = IncompleteGrid(GridSpec.from_dims((4, 3, 2)))
-        assert corner(ig) == (1, 1, 1)
-        assert ig.degree((1, 1, 1)) == 3
-
-    def test_corner_after_origin_removed(self):
-        ig = IncompleteGrid(GridSpec.from_dims((4, 3, 2)))
-        ig.remove((1, 1, 1))
-        assert corner(ig) == (1, 1, 2)
-        assert ig.degree((1, 1, 2)) == 2
-
-    def test_corner_on_partially_peeled_layer(self):
-        # front layer gone, next layer keeps a staircase of four suffixes
-        ig = IncompleteGrid(GridSpec.from_dims((4, 3, 2)))
-        for suffix in itertools.product((1, 2, 3), (1, 2)):
-            ig.remove((1, *suffix))
-        for suffix in ((1, 2), (3, 2)):
-            ig.remove((2, *suffix))
-        assert corner(ig) == (2, 1, 1)
-        assert ig.degree((2, 1, 1)) == 2
-
-    def test_corner_minus_neighbours_are_always_absent(self):
-        rng = random.Random(77)
-        spec = GridSpec.from_dims((4, 4, 3))
-        ig = IncompleteGrid(spec)
-        coords = [spec.coord_of(v) for v in range(spec.n)]
-        rng.shuffle(coords)
-        for coord in coords[: spec.n - 1]:
-            c = corner(ig)
-            for axis in range(3):
-                lower = c[:axis] + (c[axis] - 1,) + c[axis + 1 :]
-                assert not ig.present(lower)
-            ig.remove(coord)
-
-
 class TestPartition3d:
     def test_smallest_cube(self):
         p = partition3d((2, 2, 2))
@@ -228,6 +128,25 @@ class TestPartition3d:
                         back = len(g.neighbor_set(v) & earlier)
                         assert back <= (1, 3, 4)[i], (dims, j, i)
                 earlier.update(layer)
+
+    def test_layers_match_recorded_digest(self):
+        # Pins every layer and its stored order (the certificate the
+        # verifier reads), not just validity: any changed layer shows.
+        sweep = [
+            (a, b, c)
+            for c in range(2, 7)
+            for b in range(c, 13)
+            for a in range(b, 151)
+            if 8 <= a * b * c <= 300
+        ]
+        assert len(sweep) == 401
+        digest = hashlib.sha256()
+        for dims in sweep + list(itertools.combinations_with_replacement(range(2, 7), 3)):
+            layers = partition3d(dims).layers
+            digest.update(json.dumps([list(dims), layers]).encode())
+        assert digest.hexdigest() == (
+            "66e10a7f51deb88b4c0a816c72ebf8964e004ba71ab91662150a583a0cb8bf92"
+        )
 
     def test_dimension_order_does_not_matter(self):
         assert partition3d((2, 3, 5)) == partition3d((5, 3, 2))
