@@ -3,10 +3,11 @@
 Subcommands generate graphs, build and verify layer partitions, run the
 equitable list colouring, verify colourings, and compute degeneracy.
 Documents travel as JSON on files or stdin/stdout ("-"), with at most one
-document read from stdin per call; errors leave as
-{"code", "message", "context"} objects with exit code 2 (bad input or
-exhausted budget) or 3 (parse failure). Exit 1 means a verifier said no
-or a search proved absence.
+document read from stdin and at most one written to stdout per call (a
+missing --out means stdout); errors leave as {"code", "message",
+"context"} objects with exit code 2 (bad input or exhausted budget) or 3
+(parse failure). Exit 1 means a verifier said no or a search proved
+absence.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -239,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-d", type=int, help="degree parameter for planted")
     gen.add_argument("-p", type=float, help="edge probability for random")
     gen.add_argument("--seed", type=int, help="random seed")
-    gen.add_argument("--out", default=None, help="output path (default stdout)")
+    gen.add_argument("--out", default="-", help="output path (default stdout)")
     gen.add_argument("--partition-out", default=None, help="also write the bundled partition")
     gen.add_argument("--lists-out", default=None, help="also write the bundled lists")
     gen.set_defaults(func=_cmd_gen)
@@ -250,12 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pverify = psub.add_parser("verify", help="verify a partition against a graph")
     pverify.add_argument("--graph", required=True)
     pverify.add_argument("--partition", default=None)
-    pverify.add_argument("--out", default=None)
+    pverify.add_argument("--out", default="-")
     pverify.set_defaults(func=_cmd_partition_verify)
 
     pgrid = psub.add_parser("grid3d", help="direct (3,2)-partition of a 3-dimensional grid")
     pgrid.add_argument("--dims", type=_dims, required=True)
-    pgrid.add_argument("--out", default=None)
+    pgrid.add_argument("--out", default="-")
     pgrid.set_defaults(func=_cmd_partition_grid3d)
 
     psearch = psub.add_parser("search", help="exhaustive backtracking search for a partition")
@@ -263,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     psearch.add_argument("-k", type=int, required=True)
     psearch.add_argument("-d", type=int, required=True)
     psearch.add_argument("--budget", type=int, default=None, help="max expanded subsets")
-    psearch.add_argument("--out", default=None)
+    psearch.add_argument("--out", default="-")
     psearch.set_defaults(func=_cmd_partition_search)
 
     color = sub.add_parser("color", help="equitable list colouring along a partition")
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     color.add_argument("--debug-asserts", action="store_true",
                        help="check internal list-size floors and class degeneracy")
     color.add_argument("--lists-out", default=None, help="write the lists that were used")
-    color.add_argument("--out", default=None)
+    color.add_argument("--out", default="-")
     color.set_defaults(func=_cmd_color)
 
     vc = sub.add_parser("verify-coloring", help="verify an equitable list colouring")
@@ -288,12 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--coloring", required=True)
     vc.add_argument("-d", type=int, required=True)
     vc.add_argument("-t", type=int, default=None)
-    vc.add_argument("--out", default=None)
+    vc.add_argument("--out", default="-")
     vc.set_defaults(func=_cmd_verify_coloring)
 
     deg = sub.add_parser("degeneracy", help="degeneracy of a graph")
     deg.add_argument("--graph", required=True)
-    deg.add_argument("--out", default=None)
+    deg.add_argument("--out", default="-")
     deg.set_defaults(func=_cmd_degeneracy)
 
     return parser
@@ -311,15 +312,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        from_stdin = [
-            f"--{name}"
-            for name in ("graph", "partition", "lists", "coloring")
-            if getattr(args, name, None) == "-"
-        ]
-        if len(from_stdin) > 1:
-            raise InputError(
-                f"only one document can come from stdin, got {' and '.join(from_stdin)}"
-            )
+        for names, stream in (
+            (("graph", "partition", "lists", "coloring"), "come from stdin"),
+            (("out", "partition_out", "lists_out"), "go to stdout (a missing --out means stdout)"),
+        ):
+            flags = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n, None) == "-"]
+            if len(flags) > 1:
+                raise InputError(f"only one document can {stream}, got {' and '.join(flags)}")
         return args.func(args)
     except ParseError as exc:
         sys.stdout.write(_error_payload("parse-error", exc))

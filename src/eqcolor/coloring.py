@@ -9,6 +9,7 @@ exceeds ceil(n/t) vertices.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from random import Random
@@ -109,10 +110,18 @@ class ListAssignment:
 
     @classmethod
     def uniform_random(cls, n: int, t: int, palette: int, rng: Random) -> "ListAssignment":
-        """Random t-subsets of {1..palette}, one per vertex."""
+        """Random t-subsets of {1..palette}, one per vertex, valid by construction."""
+        if t < 1:
+            raise InputError(f"t must be positive, got {t}")
         if palette < t:
             raise InputError(f"palette size {palette} is below t={t}")
-        return cls(t, {v: rng.sample(range(1, palette + 1), t) for v in range(n)})
+        # The same draws as from range(1, palette + 1): sample reads only the
+        # population's length and items, and a list passes its type check faster.
+        pool = list(range(1, palette + 1))
+        out = cls.__new__(cls)
+        out.t = t
+        out._lists = {v: tuple(sorted(rng.sample(pool, t))) for v in range(n)}
+        return out
 
 
 @dataclass
@@ -173,11 +182,12 @@ class AlgorithmState:
     ) -> None:
         if k < 1 or d < 1:
             raise InputError("k and d must be positive")
+        given = lists._lists
         working: dict[int, set[int]] = {}
         for v in range(graph.n):
-            if v not in lists:
+            if v not in given:
                 raise InputError(f"list assignment misses vertex {v}")
-            working[v] = set(lists[v])
+            working[v] = set(given[v])
         self.graph = graph
         self.k = k
         self.d = d
@@ -233,7 +243,7 @@ def colour_vertex(state: AlgorithmState, v: int) -> int:
         )
     state.colors[v] = c
     colors = state.colors
-    for w in state.graph.neighbors(v):
+    for w in state.graph._adj[v]:
         cnt = state.counts[w]
         new = cnt.get(c, 0) + 1
         cnt[c] = new
@@ -447,63 +457,73 @@ def equitable_coloring(
 def verify_equitable_list_coloring(
     g: Graph, lists: ListAssignment, t: int, coloring: Coloring, d: int
 ) -> ColoringVerdict:
-    """Check list membership, class degeneracy, and class sizes.
+    """Check list membership, class sizes, and class degeneracy.
 
     Clause order: every vertex coloured (domain), colours drawn from the
     original lists, class sizes at most ceil(n/t), every class induces a
-    (d-1)-degenerate subgraph.
+    (d-1)-degenerate subgraph. The last clause is one O(n+m) peel of the
+    monochromatic edges, which form the disjoint union of the class
+    subgraphs: vertices with at most d-1 unpeeled same-coloured
+    neighbours are peeled, and the smallest colour left unpeeled is the
+    first failing class.
     """
     if t < 1 or d < 1:
         raise InputError("t and d must be positive")
     colors = coloring.colors
-    for v in range(g.n):
+    n = g.n
+    for v in range(n):
         if v not in colors:
             return ColoringVerdict(
                 False, ColoringViolation("domain", f"vertex {v} is uncoloured", vertex=v)
             )
-    if len(colors) != g.n:
-        foreign = next(v for v in colors if v not in range(g.n))
+    if len(colors) != n:
+        foreign = next(v for v in colors if v not in range(n))
         return ColoringVerdict(
             False,
             ColoringViolation("domain", f"vertex {foreign!r} is not in the graph", vertex=foreign),
         )
-    for v in range(g.n):
-        if v not in lists or colors[v] not in lists[v]:
+    col = [colors[v] for v in range(n)]
+    given = lists._lists
+    for v, c in enumerate(col):
+        if c not in given.get(v, ()):
             return ColoringVerdict(
                 False,
                 ColoringViolation(
-                    "list",
-                    f"vertex {v} wears colour {colors[v]} outside its list",
-                    vertex=v,
-                    color=colors[v],
+                    "list", f"vertex {v} wears colour {c} outside its list", vertex=v, color=c
                 ),
             )
-    cap = math.ceil(g.n / t)
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colors[v], []).append(v)
-    for colour in sorted(classes):
-        members = classes[colour]
-        if len(members) > cap:
-            return ColoringVerdict(
-                False,
-                ColoringViolation(
-                    "size",
-                    f"colour {colour} has {len(members)} vertices, cap is {cap}",
-                    color=colour,
-                ),
-            )
-    for colour in sorted(classes):
-        sub, _ = induced_subgraph(g, classes[colour])
-        if not is_d_degenerate(sub, d - 1):
-            return ColoringVerdict(
-                False,
-                ColoringViolation(
-                    "degeneracy",
-                    f"colour class {colour} is not ({d - 1})-degenerate",
-                    color=colour,
-                ),
-            )
+    cap = math.ceil(n / t)
+    sizes = Counter(col)
+    oversized = [c for c, size in sizes.items() if size > cap]
+    if oversized:
+        colour = min(oversized)
+        return ColoringVerdict(
+            False,
+            ColoringViolation(
+                "size", f"colour {colour} has {sizes[colour]} vertices, cap is {cap}", color=colour
+            ),
+        )
+    adj = g._adj
+    limit = d - 1
+    same = [[col[w] for w in a].count(c) for a, c in zip(adj, col)]
+    peeled = [s <= limit for s in same]
+    stack = [v for v in range(n) if peeled[v]]
+    for v in stack:  # grows while it is walked
+        c = col[v]
+        for w in adj[v]:
+            if not peeled[w] and col[w] == c:
+                same[w] -= 1
+                if same[w] == limit:
+                    peeled[w] = True
+                    stack.append(w)
+    if len(stack) < n:
+        colour = min(col[v] for v in range(n) if not peeled[v])
+        return ColoringVerdict(
+            False,
+            ColoringViolation(
+                "degeneracy", f"colour class {colour} is not ({d - 1})-degenerate", color=colour
+            ),
+        )
     return ColoringVerdict(True)
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable
+from itertools import accumulate
 from random import Random
 
 from .errors import InputError
@@ -12,9 +12,12 @@ from .errors import InputError
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Adjacency is kept as per-vertex sorted tuples so that iteration order
-    is deterministic everywhere downstream; a parallel tuple of frozensets
-    serves membership tests and set arithmetic.
+    Adjacency is kept as per-vertex sorted tuples (``_adj``) so that
+    iteration order is deterministic everywhere downstream; a parallel
+    tuple of frozensets (``_sets``) serves membership tests and set
+    arithmetic. The accessors below range-check their vertex; the package's
+    hot loops read ``_adj`` and ``_sets`` directly for vertices they have
+    already checked.
     """
 
     __slots__ = ("n", "_adj", "_sets")
@@ -129,25 +132,35 @@ def is_d_degenerate(g: Graph, d: int, *, rng: Random | None = None) -> bool:
 
 
 def degeneracy(g: Graph) -> int:
-    """Smallest d such that g is d-degenerate (0 for the empty graph)."""
-    if g.n == 0:
-        return 0
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
+    """Smallest d such that g is d-degenerate (0 for the empty graph).
+
+    Batagelj-Zaversnik peeling in O(n + m): vertices sit in one array
+    sorted by current degree with each degree bucket's start recorded, so
+    a neighbour's degree drops by an O(1) swap to the front of its bucket.
+    """
+    adj = g._adj
+    deg = [len(a) for a in adj]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, dv in enumerate(deg):
+        buckets[dv].append(v)
+    order = [v for bucket in buckets for v in bucket]
+    start = list(accumulate((len(b) for b in buckets), initial=0))
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     best = 0
-    for _ in range(g.n):
-        while True:
-            dv, v = heapq.heappop(heap)
-            if not removed[v] and dv == deg[v]:
-                break
+    for v in order:  # swaps only touch positions after v
+        dv = deg[v]
         best = max(best, dv)
-        removed[v] = True
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+        for w in adj[v]:
+            dw = deg[w]
+            if dw > dv:
+                first = start[dw]
+                u = order[first]
+                order[first], order[pos[w]] = w, u
+                pos[u], pos[w] = pos[w], first
+                start[dw] = first + 1
+                deg[w] = dw - 1
     return best
 
 

@@ -77,13 +77,15 @@ class GridSpec:
 def make_grid(dims: tuple[int, ...] | list[int]) -> tuple[Graph, GridSpec]:
     """Grid graph with edges between coordinates differing by 1 in one axis."""
     spec = GridSpec.from_dims(dims)
+    n = spec.n
     edges: list[tuple[int, int]] = []
-    for vid in range(spec.n):
-        coord = spec.coord_of(vid)
-        for axis, size in enumerate(spec.dims):
-            if coord[axis] < size:
-                edges.append((vid, vid + spec.strides[axis]))
-    return Graph(spec.n, edges), spec
+    for size, stride in zip(spec.dims, spec.strides):
+        # Within each block of size * stride ids, the first (size - 1) *
+        # stride vertices have a successor one step along this axis.
+        span = (size - 1) * stride
+        for base in range(0, n, size * stride):
+            edges.extend(zip(range(base, base + span), range(base + stride, base + stride + span)))
+    return Graph(n, edges), spec
 
 
 def partition3d(dims: tuple[int, ...] | list[int]) -> KdPartition:

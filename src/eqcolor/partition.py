@@ -96,11 +96,12 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
         missing = next(v for v in range(n) if v not in seen)
         return _structure(f"vertex {missing} is not covered by any layer")
 
+    sets = g._sets
     earlier: set[int] = set()
     for j, layer in enumerate(p.layers, start=1):
         if j >= 2:
             for i, v in enumerate(layer, start=1):
-                back = len(g.neighbor_set(v) & earlier)
+                back = len(sets[v] & earlier)
                 allowed = d * i - 1
                 if back > allowed:
                     return PartitionVerdict(

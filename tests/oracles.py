@@ -10,7 +10,16 @@ from __future__ import annotations
 import itertools
 import math
 
-from eqcolor import Coloring, ColoringVerdict, Graph, KdPartition, verify_kd_partition
+from eqcolor import (
+    Coloring,
+    ColoringVerdict,
+    ColoringViolation,
+    Graph,
+    KdPartition,
+    induced_subgraph,
+    is_d_degenerate,
+    verify_kd_partition,
+)
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -121,6 +130,8 @@ def verify_coloring_by_subsets(g, lists, t, coloring: Coloring, d: int) -> Color
     for v in range(g.n):
         if v not in colors:
             return ColoringVerdict(False, None)
+    if any(v not in range(g.n) for v in colors):
+        return ColoringVerdict(False, None)
     for v in range(g.n):
         if v not in lists or colors[v] not in lists[v]:
             return ColoringVerdict(False, None)
@@ -143,4 +154,63 @@ def verify_coloring_by_subsets(g, lists, t, coloring: Coloring, d: int) -> Color
         )
         if not degenerate_by_subsets(sub, d - 1):
             return ColoringVerdict(False, None)
+    return ColoringVerdict(True)
+
+
+def verify_coloring_by_classes(g, lists, t, coloring: Coloring, d: int) -> ColoringVerdict:
+    """Per-class reference for the package verifier, violations included.
+
+    The same clauses in the same order (domain, list, size, degeneracy),
+    with every colour class rebuilt as an induced subgraph and peeled on
+    its own, the smallest failing colour first.
+    """
+    colors = coloring.colors
+    for v in range(g.n):
+        if v not in colors:
+            return ColoringVerdict(
+                False, ColoringViolation("domain", f"vertex {v} is uncoloured", vertex=v)
+            )
+    if len(colors) != g.n:
+        foreign = next(v for v in colors if v not in range(g.n))
+        return ColoringVerdict(
+            False,
+            ColoringViolation("domain", f"vertex {foreign!r} is not in the graph", vertex=foreign),
+        )
+    for v in range(g.n):
+        if v not in lists or colors[v] not in lists[v]:
+            return ColoringVerdict(
+                False,
+                ColoringViolation(
+                    "list",
+                    f"vertex {v} wears colour {colors[v]} outside its list",
+                    vertex=v,
+                    color=colors[v],
+                ),
+            )
+    cap = math.ceil(g.n / t)
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(colors[v], []).append(v)
+    for colour in sorted(classes):
+        members = classes[colour]
+        if len(members) > cap:
+            return ColoringVerdict(
+                False,
+                ColoringViolation(
+                    "size",
+                    f"colour {colour} has {len(members)} vertices, cap is {cap}",
+                    color=colour,
+                ),
+            )
+    for colour in sorted(classes):
+        sub, _ = induced_subgraph(g, classes[colour])
+        if not is_d_degenerate(sub, d - 1):
+            return ColoringVerdict(
+                False,
+                ColoringViolation(
+                    "degeneracy",
+                    f"colour class {colour} is not ({d - 1})-degenerate",
+                    color=colour,
+                ),
+            )
     return ColoringVerdict(True)

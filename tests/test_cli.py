@@ -92,6 +92,31 @@ class TestGen:
         assert code == 2
         assert "lists" in json.loads(out)["message"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--partition-out", "-"],
+            ["--lists-out", "-"],
+            ["--out", "-", "--partition-out", "-"],
+            ["--out", "OUT", "--partition-out", "-", "--lists-out", "-"],
+        ],
+    )
+    def test_two_stdout_documents_rejected(self, tmp_path, run, extra):
+        argv = [str(tmp_path / "g.json") if a == "OUT" else a for a in extra]
+        code, out = run("gen", "example2", *argv)
+        assert code == 2
+        err = json.loads(out)  # one error document and nothing before it
+        assert err["code"] == "input-error"
+        assert "stdout" in err["message"]
+        assert list(tmp_path.iterdir()) == []  # rejected before anything is written
+
+    def test_one_stdout_document_beside_files(self, tmp_path, run):
+        gpath = tmp_path / "g.json"
+        code, out = run("gen", "example2", "--out", str(gpath), "--partition-out", "-")
+        assert code == 0
+        assert parse_partition(out) == gen_example2().partition
+        assert parse_graph_document(gpath.read_text()).graph == gen_example2().graph
+
     def test_random_graph_is_seeded(self, run):
         _, a = run("gen", "random", "-n", "9", "-p", "0.5", "--seed", "2")
         _, b = run("gen", "random", "-n", "9", "-p", "0.5", "--seed", "2")
@@ -230,6 +255,25 @@ class TestColor:
             "--coloring", str(cpath), "-d", "2",
         )
         assert code == 0
+
+    def test_lists_and_colouring_both_to_stdout_rejected(self, tmp_path, run, example_doc):
+        code, out = run("color", "--graph", example_doc, "--uniform-lists", "3",
+                        "--lists-out", "-")
+        assert code == 2
+        assert json.loads(out)["code"] == "input-error"
+        cpath = tmp_path / "c.json"
+        code, out = run("color", "--graph", example_doc, "--uniform-lists", "3",
+                        "--lists-out", "-", "--out", str(cpath))
+        assert code == 0
+        assert parse_lists(out).t == 3
+        assert len(parse_coloring(cpath.read_text()).colors) == 20
+
+    def test_non_positive_uniform_list_size(self, run, example_doc):
+        for t in ("0", "-1"):
+            code, out = run("color", "--graph", example_doc, "--uniform-lists", t,
+                            "--palette", "5")
+            assert code == 2
+            assert json.loads(out)["code"] == "input-error"
 
     def test_seeded_tie_break_is_reproducible(self, run, example_doc):
         _, a = run("color", "--graph", example_doc, "--tie-break", "seeded", "--seed", "7")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -24,11 +25,13 @@ from eqcolor import (
     equitable_coloring,
     gen_example2,
     gen_planted_partition,
+    induced_subgraph,
+    is_d_degenerate,
     modify_colour_lists,
     reorder,
     verify_equitable_list_coloring,
 )
-from oracles import verify_coloring_by_subsets
+from oracles import verify_coloring_by_classes, verify_coloring_by_subsets
 
 
 def path(n):
@@ -118,9 +121,25 @@ class TestListAssignment:
         again = ListAssignment.uniform_random(30, 3, 6, random.Random(7))
         assert la == again
 
+    def test_uniform_random_pins_the_draws(self):
+        # One rng.sample(range(1, palette + 1), t) per vertex, in vertex
+        # order, exactly as the validating constructor would receive them.
+        # A palette above 21 takes sample's other branch.
+        for seed in range(6):
+            for n, t, palette in ((1, 1, 2), (30, 3, 6), (57, 4, 8), (300, 5, 10), (40, 3, 40)):
+                drawn = ListAssignment.uniform_random(n, t, palette, random.Random(seed))
+                rng = random.Random(seed)
+                expected = ListAssignment(
+                    t, {v: rng.sample(range(1, palette + 1), t) for v in range(n)}
+                )
+                assert drawn == expected
+                assert drawn.items() == expected.items()
+
     def test_uniform_random_needs_room(self):
         with pytest.raises(InputError):
             ListAssignment.uniform_random(3, 4, 3, random.Random(0))
+        with pytest.raises(InputError):
+            ListAssignment.uniform_random(3, 0, 3, random.Random(0))
 
 
 class TestColourVertex:
@@ -521,6 +540,56 @@ class TestVerifier:
             assert fast.valid == slow.valid
             agreements += fast.valid
         assert 0 < agreements < 120
+
+    @staticmethod
+    def planted_case(rng):
+        """A random colouring with planted faults: the lists are built around it."""
+        n = rng.randint(1, 12)
+        d = rng.randint(1, 3)
+        t = rng.randint(1, max(1, n // (d + 1)))
+        palette = t + 3
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+        colors = {v: rng.randint(1, palette) for v in range(n)}
+        # Make a few classes non-degenerate on purpose: a (d+1)-clique in
+        # one colour has minimum degree d > d-1.
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            if n > d:
+                clique = rng.sample(range(n), d + 1)
+                colour = rng.randint(1, palette)
+                edges.update((min(u, v), max(u, v)) for u, v in itertools.combinations(clique, 2))
+                colors.update(dict.fromkeys(clique, colour))
+        if rng.random() < 0.15:  # oversized class
+            colors.update(dict.fromkeys(rng.sample(range(n), n // 2 + 1), rng.randint(1, palette)))
+        lists = {}
+        for v in range(n):
+            others = [c for c in range(1, palette + 1) if c != colors[v]]
+            lists[v] = [colors[v], *rng.sample(others, t - 1)]
+        if rng.random() < 0.1:  # colour outside the list
+            colors[rng.randrange(n)] = palette + 1
+        if rng.random() < 0.1:
+            colors[n + rng.randrange(3)] = 1  # foreign vertex
+        if rng.random() < 0.1:
+            del colors[rng.randrange(n)]
+        return Graph(n, sorted(edges)), ListAssignment(t, lists), t, Coloring(colors), d
+
+    def test_matches_per_class_reference_on_planted_faults(self):
+        rng = random.Random(4004)
+        clauses = collections.Counter()
+        for _ in range(600):
+            g, lists, t, coloring, d = self.planted_case(rng)
+            fast = verify_equitable_list_coloring(g, lists, t, coloring, d)
+            assert fast == verify_coloring_by_classes(g, lists, t, coloring, d)
+            assert fast.valid == verify_coloring_by_subsets(g, lists, t, coloring, d).valid
+            clauses[None if fast.valid else fast.violation.clause] += 1
+            if not fast.valid and fast.violation.clause == "degeneracy":
+                members = coloring.color_classes()
+                failing = [
+                    c for c, vs in members.items()
+                    if not is_d_degenerate(induced_subgraph(g, vs)[0], d - 1)
+                ]
+                # With two or more failing classes the smallest is reported.
+                clauses["several"] += len(failing) > 1
+        assert set(clauses) == {None, "domain", "list", "size", "degeneracy", "several"}, clauses
 
 
 class TestBruteForce:

@@ -148,6 +148,18 @@ class TestDegeneracy:
             g = Graph(n, edges)
             assert degeneracy(g) == degeneracy_by_subsets(g)
 
+    def test_is_the_least_passing_peel_bound(self):
+        # Larger graphs than the subset oracle can take: the value is the
+        # smallest d for which peeling at degree <= d empties the graph.
+        rng = Random(2718)
+        for _ in range(40):
+            n = rng.randint(1, 200)
+            p = rng.choice((0.01, 0.05, 0.2, 0.6))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            dg = degeneracy(g)
+            assert is_d_degenerate(g, dg)
+            assert dg == 0 or not is_d_degenerate(g, dg - 1)
+
     def test_peel_order_immaterial(self):
         # randomized peeling order must not change the verdict
         rng = Random(13)

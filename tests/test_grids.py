@@ -95,6 +95,32 @@ class TestMakeGrid:
             diffs = [abs(a - b) for a, b in zip(cu, cv)]
             assert sorted(diffs) == [0, 0, 1]
 
+    def test_edges_match_coordinate_reference(self):
+        sweep = [
+            (a, b, c)
+            for c in range(2, 7)
+            for b in range(c, 13)
+            for a in range(b, 151)
+            if 8 <= a * b * c <= 300
+        ]
+        assert len(sweep) == 401
+        others = [(2,), (7,), (2, 2), (3, 5), (9, 2), (2, 3, 2, 2), (4, 2, 3, 3), (3, 3, 3, 3)]
+        for dims in sweep + others:
+            # Ids count coordinates row-major over the dims sorted in
+            # descending order, equal dims keeping their input order.
+            shape = sorted(dims, reverse=True)
+            coords = list(itertools.product(*(range(s) for s in shape)))
+            index = {coord: vid for vid, coord in enumerate(coords)}
+            expected = sorted(
+                (index[coord], index[coord[:axis] + (c + 1,) + coord[axis + 1 :]])
+                for coord in coords
+                for axis, c in enumerate(coord)
+                if c + 1 < shape[axis]
+            )
+            g, _ = make_grid(dims)
+            assert g.n == len(coords)
+            assert g.edges() == expected, dims
+
     def test_max_degree_bound(self):
         g, _ = make_grid((4, 4, 4))
         assert max(g.degree(v) for v in range(g.n)) == 6
