@@ -110,17 +110,46 @@ class ListAssignment:
 
     @classmethod
     def uniform_random(cls, n: int, t: int, palette: int, rng: Random) -> "ListAssignment":
-        """Random t-subsets of {1..palette}, one per vertex, valid by construction."""
+        """Random t-subsets of {1..palette}, one per vertex, valid by construction.
+
+        The lists are the draws of rng.sample(range(1, palette + 1), t) in
+        vertex order, and rng ends in the same state.
+        """
         if t < 1:
             raise InputError(f"t must be positive, got {t}")
         if palette < t:
             raise InputError(f"palette size {palette} is below t={t}")
-        # The same draws as from range(1, palette + 1): sample reads only the
-        # population's length and items, and a list passes its type check faster.
-        pool = list(range(1, palette + 1))
+        lists: dict[int, tuple[int, ...]] = {}
+        setsize = 21 + (4 ** math.ceil(math.log(t * 3, 4)) if t > 5 else 0)
+        if (
+            palette <= setsize
+            and type(rng).sample is Random.sample
+            and type(rng)._randbelow is Random._randbelow
+        ):
+            # CPython's random.sample(range(1, palette + 1), t) takes its pool
+            # branch here; this is that branch with _randbelow inlined, so the
+            # draws and the rng's state afterwards are the same.
+            getrandbits = rng.getrandbits
+            base = list(range(1, palette + 1))
+            steps = [(m, m.bit_length()) for m in range(palette, palette - t, -1)]
+            for v in range(n):
+                pool = base[:]
+                drawn = []
+                for m, bits in steps:
+                    j = getrandbits(bits)
+                    while j >= m:
+                        j = getrandbits(bits)
+                    drawn.append(pool[j])
+                    pool[j] = pool[m - 1]
+                drawn.sort()
+                lists[v] = tuple(drawn)
+        else:
+            population = range(1, palette + 1)
+            for v in range(n):
+                lists[v] = tuple(sorted(rng.sample(population, t)))
         out = cls.__new__(cls)
         out.t = t
-        out._lists = {v: tuple(sorted(rng.sample(pool, t))) for v in range(n)}
+        out._lists = lists
         return out
 
 
@@ -395,16 +424,20 @@ def equitable_coloring(
     decomposition are asserted at every step. A RunTrace passed as trace
     is filled with intermediate artifacts.
 
+    The partition is verified unless a passing verify_kd_partition has
+    stamped it with this very g and its current k, d and layers.
     Raises InputError when the partition does not verify, the lists do
     not cover the graph, or t < k; raises InvariantError if an internal
     invariant fails (which signals invalid input rather than bad luck).
     """
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
-    verdict = verify_kd_partition(g, p)
-    if not verdict.valid:
-        assert verdict.violation is not None
-        raise InputError(f"partition does not verify: {verdict.violation.message}")
+    stamp = p._verified
+    if stamp is None or stamp[0] is not g or stamp[1:] != (p.k, p.d, p.layers):
+        verdict = verify_kd_partition(g, p)
+        if not verdict.valid:
+            assert verdict.violation is not None
+            raise InputError(f"partition does not verify: {verdict.violation.message}")
     t = lists.t
     if t < p.k:
         raise InputError(f"uniform list size t={t} must be at least k={p.k}")

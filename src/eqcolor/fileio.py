@@ -37,7 +37,7 @@ def _as_int(value: Any, what: str) -> int:
 def _load_json(text: str, what: str) -> dict[str, Any]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
         raise ParseError(f"invalid JSON in {what}: {exc}", context={"kind": what}) from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object, got {type(doc).__name__}")

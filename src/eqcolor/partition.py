@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
@@ -21,11 +21,19 @@ from .graph import Graph
 
 @dataclass
 class KdPartition:
-    """Ordered layers; the stored order inside a layer is the certificate."""
+    """Ordered layers; the stored order inside a layer is the certificate.
+
+    A passing verify_kd_partition stamps the partition with the graph and
+    a copy of (k, d, layers); equitable_coloring skips the check while the
+    stamp still matches.
+    """
 
     k: int
     d: int
     layers: list[list[int]]
+    _verified: tuple[Graph, int, int, list[list[int]]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -68,7 +76,7 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
 
     All failures are reported as verdicts, never raised; the first
     violation found (structure first, then back-degree in layer order) is
-    attached to the verdict.
+    attached to the verdict. A pass stamps p (see KdPartition).
     """
     k, d = p.k, p.d
     n = g.n
@@ -118,6 +126,7 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
                         ),
                     )
         earlier.update(layer)
+    p._verified = (g, k, d, [list(layer) for layer in p.layers])
     return PartitionVerdict(True)
 
 

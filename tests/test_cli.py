@@ -1,19 +1,30 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqcolor import gen_example2, verify_kd_partition
+from eqcolor import equitable_coloring, gen_example2, verify_kd_partition
 from eqcolor.cli import main
 from eqcolor.fileio import (
+    GraphDocument,
+    coloring_to_obj,
+    dump,
+    graph_to_obj,
+    lists_to_obj,
     parse_coloring,
     parse_graph_document,
     parse_lists,
     parse_partition,
+    partition_to_obj,
 )
 
 
@@ -256,6 +267,26 @@ class TestColor:
         )
         assert code == 0
 
+    def test_huge_palette(self, tmp_path, run):
+        gpath = tmp_path / "g.json"
+        ppath = tmp_path / "p.json"
+        cpath = tmp_path / "c.json"
+        lpath = tmp_path / "l.json"
+        run("gen", "grid", "--dims", "2,2,2", "--out", str(gpath))
+        run("partition", "grid3d", "--dims", "2,2,2", "--out", str(ppath))
+        code, _ = run(
+            "color", "--graph", str(gpath), "--partition", str(ppath),
+            "--uniform-lists", "3", "--palette", "99999999999999",
+            "--lists-out", str(lpath), "--out", str(cpath),
+        )
+        assert code == 0
+        code, out = run(
+            "verify-coloring", "--graph", str(gpath), "--lists", str(lpath),
+            "--coloring", str(cpath), "-d", "2",
+        )
+        assert code == 0
+        assert json.loads(out) == {"valid": True}
+
     def test_lists_and_colouring_both_to_stdout_rejected(self, tmp_path, run, example_doc):
         code, out = run("color", "--graph", example_doc, "--uniform-lists", "3",
                         "--lists-out", "-")
@@ -383,6 +414,22 @@ class TestErrorChannel:
         assert payload["code"] == "parse-error"
         assert payload["context"] == {"kind": "graph document"}
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe{}",
+            b'{"a":' * 100_000,
+            b'{"n": ' + b"9" * 5000 + b', "edges": []}',
+        ],
+        ids=["not-utf8", "deep-nesting", "digit-limit"],
+    )
+    def test_hostile_bytes_exit_three(self, tmp_path, run, data):
+        gpath = tmp_path / "g.json"
+        gpath.write_bytes(data)
+        code, out = run("degeneracy", "--graph", str(gpath))
+        assert code == 3
+        assert json.loads(out)["code"] == "parse-error"
+
     def test_missing_file_exits_two(self, run):
         code, out = run("degeneracy", "--graph", "/nowhere/missing.json")
         assert code == 2
@@ -392,3 +439,79 @@ class TestErrorChannel:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code != 0
+
+
+_EXAMPLE = gen_example2()
+_VALID = {
+    "graph": dump(graph_to_obj(GraphDocument(_EXAMPLE.graph))).encode(),
+    "partition": dump(partition_to_obj(_EXAMPLE.partition)).encode(),
+    "lists": dump(lists_to_obj(_EXAMPLE.lists)).encode(),
+    "coloring": dump(
+        coloring_to_obj(equitable_coloring(_EXAMPLE.graph, _EXAMPLE.partition, _EXAMPLE.lists))
+    ).encode(),
+}
+# Small JSON values: a document with a huge "n" allocates before any
+# check, which is an open size-rule question, not a parse path.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 25) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _document(draw, kind):
+    """Raw bytes, random JSON, or a valid document with bytes or a value swapped."""
+    valid = _VALID[kind]
+    how = draw(st.sampled_from(["bytes", "json", "spliced"] + ["patched", "valid"] * 3))
+    if how == "bytes":
+        return draw(st.binary(max_size=80))
+    if how == "json":
+        return json.dumps(draw(_JSON)).encode()
+    if how == "spliced":
+        cut = draw(st.integers(0, len(valid)))
+        end = draw(st.integers(cut, min(len(valid), cut + 12)))
+        return valid[:cut] + draw(st.binary(max_size=6)) + valid[end:]
+    if how == "patched":
+        root = json.loads(valid)
+        node = root
+        while True:  # walk down to a random container, then replace one member
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            node[key] = draw(st.integers(-3, 25) | _JSON)
+            break
+        return json.dumps(root).encode()
+    return valid
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([
+            ["degeneracy", "--graph", "@graph"],
+            ["partition", "verify", "--graph", "@graph", "--partition", "@partition"],
+            ["color", "--graph", "@graph", "--partition", "@partition", "--lists", "@lists"],
+            ["verify-coloring", "--graph", "@graph", "--lists", "@lists",
+             "--coloring", "@coloring", "-d", "3"],
+        ]),
+        st.fixed_dictionaries({kind: _document(kind) for kind in _VALID}),
+    )
+    def test_any_bytes_give_one_document_and_a_contract_exit(self, argv, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for kind, data in docs.items():
+                paths["@" + kind] = os.path.join(tmp, kind)
+                with open(paths["@" + kind], "wb") as fh:
+                    fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([paths.get(arg, arg) for arg in argv])
+        assert code in (0, 1, 2, 3)
+        json.loads(out.getvalue())  # exactly one document: extra data fails
+        assert err.getvalue() == ""

@@ -30,6 +30,7 @@ from eqcolor import (
     modify_colour_lists,
     reorder,
     verify_equitable_list_coloring,
+    verify_kd_partition,
 )
 from oracles import verify_coloring_by_classes, verify_coloring_by_subsets
 
@@ -123,17 +124,44 @@ class TestListAssignment:
 
     def test_uniform_random_pins_the_draws(self):
         # One rng.sample(range(1, palette + 1), t) per vertex, in vertex
-        # order, exactly as the validating constructor would receive them.
-        # A palette above 21 takes sample's other branch.
-        for seed in range(6):
-            for n, t, palette in ((1, 1, 2), (30, 3, 6), (57, 4, 8), (300, 5, 10), (40, 3, 40)):
-                drawn = ListAssignment.uniform_random(n, t, palette, random.Random(seed))
-                rng = random.Random(seed)
-                expected = ListAssignment(
-                    t, {v: rng.sample(range(1, palette + 1), t) for v in range(n)}
-                )
-                assert drawn == expected
-                assert drawn.items() == expected.items()
+        # order, exactly as the validating constructor would receive them,
+        # and the rng ends in the same state. sample keeps a pool up to a
+        # palette of 21 for t <= 5 and of 85 for t in 6..12; beyond that it
+        # takes its other branch. A Random subclass that overrides random()
+        # draws through another _randbelow, and one may override sample:
+        # both must still match their own sample.
+        class FloatOnly(random.Random):
+            def random(self):
+                return super().random()
+
+        class OwnSample(random.Random):
+            def sample(self, population, k):
+                return list(population[-k:])
+
+        cases = [(1, 1, 2), (30, 3, 6), (57, 4, 8), (300, 5, 10), (40, 3, 40)]
+        cases += [(60, 3, 21), (60, 3, 22), (60, 6, 85), (60, 6, 86)]
+        cases += [(60, 8, 16), (60, 8, 85), (60, 8, 86)]
+        for rng_type in (random.Random, FloatOnly, OwnSample):
+            for seed in range(6):
+                for n, t, palette in cases:
+                    rng = rng_type(seed)
+                    drawn = ListAssignment.uniform_random(n, t, palette, rng)
+                    ref = rng_type(seed)
+                    expected = ListAssignment(
+                        t, {v: ref.sample(range(1, palette + 1), t) for v in range(n)}
+                    )
+                    assert drawn == expected
+                    assert drawn.items() == expected.items()
+                    assert rng.getstate() == ref.getstate()
+
+    def test_uniform_random_huge_palette(self):
+        rng = random.Random(3)
+        palette = 99_999_999_999_999
+        drawn = ListAssignment.uniform_random(8, 3, palette, rng)
+        ref = random.Random(3)
+        assert drawn.items() == [
+            (v, tuple(sorted(ref.sample(range(1, palette + 1), 3)))) for v in range(8)
+        ]
 
     def test_uniform_random_needs_room(self):
         with pytest.raises(InputError):
@@ -447,6 +475,88 @@ class TestPipelineBehaviour:
         p = KdPartition(1, 1, [[0]])
         coloring = equitable_coloring(g, p, ListAssignment(1, {0: [5]}))
         assert coloring.colors == {0: 5}
+
+
+class TestVerifyOnce:
+    """equitable_coloring re-verifies only a partition not stamped for g."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import eqcolor.coloring
+
+        made = []
+        original = eqcolor.coloring.verify_kd_partition
+
+        def counting(g, p):
+            made.append(p)
+            return original(g, p)
+
+        monkeypatch.setattr(eqcolor.coloring, "verify_kd_partition", counting)
+        return made
+
+    def path_case(self):
+        # Layer 2 ordered [3, 2] is valid for d = 1; [2, 3] is not.
+        lists = ListAssignment(2, {v: [1, 2] for v in range(4)})
+        return path(4), KdPartition(2, 1, [[0, 1], [3, 2]]), lists
+
+    def test_verified_partition_is_not_checked_again(self, calls):
+        bundle = gen_example2()
+        p = KdPartition(bundle.partition.k, bundle.partition.d, bundle.partition.layers)
+        assert verify_kd_partition(bundle.graph, p).valid
+        first = equitable_coloring(bundle.graph, p, bundle.lists)
+        for _ in range(2):
+            assert equitable_coloring(bundle.graph, p, bundle.lists) == first
+        assert calls == []
+
+    def test_unverified_partition_is_checked_once(self, calls):
+        g, p, lists = self.path_case()
+        for _ in range(3):
+            equitable_coloring(g, p, lists)
+        assert len(calls) == 1
+
+    def test_layers_changed_after_verification(self, calls):
+        g, p, lists = self.path_case()
+        assert verify_kd_partition(g, p).valid
+        p.layers[1][0], p.layers[1][1] = p.layers[1][1], p.layers[1][0]
+        with pytest.raises(InputError, match="back-neighbours"):
+            equitable_coloring(g, p, lists)
+        assert len(calls) == 1
+
+    def test_degree_bound_changed_after_verification(self, calls):
+        g, _, lists = self.path_case()
+        p = KdPartition(2, 2, [[0, 1], [2, 3]])
+        assert verify_kd_partition(g, p).valid
+        p.d = 1
+        with pytest.raises(InputError, match="back-neighbours"):
+            equitable_coloring(g, p, lists)
+        assert len(calls) == 1
+
+    def test_equal_but_distinct_graph_is_checked(self, calls):
+        g, p, lists = self.path_case()
+        assert verify_kd_partition(g, p).valid
+        twin = path(4)
+        assert twin == g
+        equitable_coloring(twin, p, lists)
+        equitable_coloring(twin, p, lists)
+        assert len(calls) == 1  # the pass on twin re-stamps p
+
+    def test_failing_verdict_stamps_nothing(self, calls):
+        g, _, lists = self.path_case()
+        p = KdPartition(2, 1, [[0, 1], [2, 3]])
+        assert not verify_kd_partition(g, p).valid
+        assert p._verified is None
+        for _ in range(2):
+            with pytest.raises(InputError):
+                equitable_coloring(g, p, lists)
+        assert len(calls) == 2
+
+    def test_stamp_is_invisible(self):
+        g, p, _ = self.path_case()
+        before = repr(p)
+        assert verify_kd_partition(g, p).valid
+        assert p._verified is not None
+        assert p == KdPartition(p.k, p.d, p.layers)
+        assert repr(p) == before
 
 
 class TestVerifier:
