@@ -13,6 +13,7 @@ absence.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from random import Random
 
@@ -80,7 +81,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.dims is None:
             raise InputError("gen grid requires --dims")
         graph, spec = make_grid(args.dims)
-        names = {spec.label_of(v): v for v in range(graph.n)}
+        names = dict(zip(spec.labels(), range(graph.n)))
         doc = fileio.GraphDocument(graph, names=names)
     elif kind == "gq":
         ng = gen_gq(args.q)
@@ -313,6 +314,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Documents are trees that refcounting frees, so one command leaves no
+    # cyclic garbage that grows with them; without the pause the collector
+    # walks millions of live parsed containers per command.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         for names, stream in (
             (("graph", "partition", "lists", "coloring"), "come from stdin"),
@@ -331,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         sys.stdout.write(_error_payload("invariant-error", exc))
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

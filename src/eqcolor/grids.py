@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product, starmap
 
 from .errors import InputError, InvariantError
 from .graph import Graph
@@ -65,13 +66,13 @@ class GridSpec:
             coord.append(c + 1)
         return tuple(coord)
 
-    def label_of(self, vid: int) -> str:
-        """Human-readable coordinate in the original axis order."""
-        sorted_coord = self.coord_of(vid)
-        original = [0] * len(sorted_coord)
+    def labels(self) -> list[str]:
+        """Every vertex's coordinate in the original axis order, by id."""
+        fields = [""] * len(self.axes)
         for pos, axis in enumerate(self.axes):
-            original[axis] = sorted_coord[pos]
-        return "(" + ",".join(str(c) for c in original) + ")"
+            fields[axis] = "{%d}" % pos
+        template = "(" + ",".join(fields) + ")"
+        return list(starmap(template.format, product(*(range(1, s + 1) for s in self.dims))))
 
 
 def make_grid(dims: tuple[int, ...] | list[int]) -> tuple[Graph, GridSpec]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -439,6 +440,89 @@ class TestErrorChannel:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code != 0
+
+
+def _pipeline(tmp_path, dims):
+    f = {k: str(tmp_path / f"{k}.json") for k in ("graph", "part", "lists", "col", "out")}
+    return f, [
+        ["gen", "grid", "--dims", dims, "--out", f["graph"]],
+        ["partition", "grid3d", "--dims", dims, "--out", f["part"]],
+        ["color", "--graph", f["graph"], "--partition", f["part"], "--uniform-lists", "4",
+         "--seed", "7", "--lists-out", f["lists"], "--out", f["col"]],
+        ["verify-coloring", "--graph", f["graph"], "--lists", f["lists"],
+         "--coloring", f["col"], "-d", "2", "--out", f["out"]],
+        ["partition", "verify", "--graph", f["graph"], "--partition", f["part"], "--out", f["out"]],
+        ["degeneracy", "--graph", f["graph"], "--out", f["out"]],
+    ]
+
+
+def test_pipeline_documents_are_json_dumps_indent_2(tmp_path, run):
+    def same_as_stdlib(text):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    f, steps = _pipeline(tmp_path, "10,10,10")
+    for argv in steps:
+        assert run(*argv) == (0, "")
+        if argv[-1] == f["out"]:
+            same_as_stdlib(Path(f["out"]).read_text())
+    for name in ("graph", "part", "lists", "col"):
+        same_as_stdlib(Path(f[name]).read_text())
+    assert json.loads(Path(f["graph"]).read_text())["names"]["(10,10,10)"] == 999
+    Path(f["graph"]).write_text('{"n": 2, "edges": [[0, "\u00e9"]]}')
+    code, out = run("degeneracy", "--graph", f["graph"])
+    assert code == 3
+    same_as_stdlib(out)
+
+
+class TestCollectorPause:
+    @pytest.fixture()
+    def commands(self, tmp_path, run):
+        gpath = tmp_path / "g.json"
+        run("gen", "path", "-n", "2", "--out", str(gpath))
+        (tmp_path / "broken.json").write_text("{")
+        return {
+            0: ["degeneracy", "--graph", str(gpath)],
+            1: ["partition", "search", "--graph", str(gpath), "-k", "1", "-d", "1"],
+            2: ["gen", "grid"],
+            3: ["degeneracy", "--graph", str(tmp_path / "broken.json")],
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exit_code", [0, 1, 2, 3])
+    def test_collector_state_is_restored(self, commands, run, enabled, exit_code):
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(*commands[exit_code])[0] == exit_code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_collector_state_survives_an_unexpected_exception(self, commands, monkeypatch):
+        def boom(graph):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("eqcolor.cli.degeneracy", boom)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            main(commands[0])
+        assert gc.isenabled()
+
+    def test_no_cyclic_garbage_grows_with_the_documents(self, tmp_path):
+        def garbage_per_command(dims):
+            _, steps = _pipeline(tmp_path, dims)
+            counts = []
+            gc.collect()
+            for argv in steps:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                counts.append(gc.collect())
+            return counts
+
+        garbage_per_command("3,3,3")  # warm-up: first-call caches
+        small = garbage_per_command("3,3,3")
+        assert garbage_per_command("10,20,20") == small
 
 
 _EXAMPLE = gen_example2()

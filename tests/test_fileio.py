@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+from enum import IntEnum
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqcolor import (
     Coloring,
@@ -12,6 +16,7 @@ from eqcolor import (
     ParseError,
     gen_example2,
 )
+from eqcolor.cli import main
 from eqcolor.fileio import (
     GraphDocument,
     coloring_to_obj,
@@ -237,3 +242,72 @@ def test_serialized_edges_are_sorted():
     g = Graph(4, [(3, 2), (1, 0), (2, 0)])
     obj = graph_to_obj(GraphDocument(g))
     assert obj["edges"] == [[0, 1], [0, 2], [2, 3]]
+
+
+# Messages of the per-item edge parser, recorded before edges were
+# validated in bulk; a damaged list must still name its first bad item.
+_DAMAGED_EDGES = {
+    "type-before-non-pair": ([[0, 1], [0, "x"], [1]], "edge endpoint must be an integer, got 'x'"),
+    "non-pair-before-type": ([[0, 1], [1], [0, "x"]], "edge [1] is not a pair"),
+    "bool": ([[0, 1], [True, 2]], "edge endpoint must be an integer, got True"),
+    "bool-second": ([[0, 1], [2, False]], "edge endpoint must be an integer, got False"),
+    "float": ([[0, 1], [1.0, 2]], "edge endpoint must be an integer, got 1.0"),
+    "nested-list": ([[0, 1], [[1], 2]], "edge endpoint must be an integer, got [1]"),
+    "null": ([[0, None]], "edge endpoint must be an integer, got None"),
+    "three-items": ([[0, 1], [1, 2, 3]], "edge [1, 2, 3] is not a pair"),
+    "object-item": ([[0, 1], {"0": 1}], "edge {'0': 1} is not a pair"),
+    "scalar-item": ([[0, 1], 5], "edge 5 is not a pair"),
+    "out-of-range": ([[0, 1], [1, 4]], "graph document rejected: edge (1, 4) out of range for n=4"),
+    "negative": ([[0, 1], [-1, 2]], "graph document rejected: edge (-1, 2) out of range for n=4"),
+    "self-loop": ([[0, 1], [2, 2]], "graph document rejected: self-loop at vertex 2"),
+    "range-before-type": ([[0, 9], [0, "x"]], "edge endpoint must be an integer, got 'x'"),
+    "loop-before-range": ([[1, 1], [0, 9]], "graph document rejected: self-loop at vertex 1"),
+}
+
+
+@pytest.mark.parametrize("edges, message", _DAMAGED_EDGES.values(), ids=list(_DAMAGED_EDGES))
+def test_damaged_edges_keep_their_message(edges, message, tmp_path, capsys):
+    text = json.dumps({"n": 4, "edges": edges})
+    with pytest.raises(ParseError) as info:
+        parse_graph_document(text)
+    assert str(info.value) == message
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["degeneracy", "--graph", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "parse-error", "message": message, "context": {},
+    }
+
+
+class _Colour(IntEnum):
+    RED = 1
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+@example("caf\u00e9 \u2028 \x00\x1f \ud800 \"\\ \U0001f600")
+@example([math.nan, math.inf, -math.inf, -0.0, 1e300, True, None, [], {}, ()])
+@example({1: [], 2.5: {}, math.nan: 0, True: (), None: [[[]]], "": [1, "a"]})
+@example({_Colour.RED: _Colour.RED, "nested": {"a": [{"b": ()}], "c": [[1, 2], [3]]}})
+def test_dump_matches_json_dumps_indent_2(value):
+    assert dump(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dump_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        dump({(1, 2): 3})
+    with pytest.raises(TypeError):
+        dump([object()])

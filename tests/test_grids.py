@@ -48,7 +48,19 @@ class TestGridSpec:
     def test_labels_use_original_axis_order(self):
         spec = GridSpec.from_dims((2, 5))
         vid = spec.id_of((4, 2))  # sorted coord: first axis is the size-5 one
-        assert spec.label_of(vid) == "(2,4)"
+        assert spec.labels()[vid] == "(2,4)"
+
+    @pytest.mark.parametrize("dims", [(3, 3, 2), (2, 5, 5, 3), (7,), (4, 9, 4), (3, 2, 4)])
+    def test_labels_follow_ids(self, dims):
+        spec = GridSpec.from_dims(dims)
+        labels = spec.labels()
+        assert len(labels) == spec.n
+        for vid, label in enumerate(labels):
+            coord = spec.coord_of(vid)
+            original = [0] * len(coord)
+            for pos, axis in enumerate(spec.axes):
+                original[axis] = coord[pos]
+            assert label == "(" + ",".join(map(str, original)) + ")"
 
     def test_rejects_bad_dimensions(self):
         for dims in ((), (1, 3), (0,), (2, True), (2.0, 3)):
