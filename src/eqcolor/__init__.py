@@ -15,7 +15,6 @@ from .coloring import (
     Counters,
     ListAssignment,
     RunTrace,
-    brute_force_equitable_coloring,
     build_order,
     colour_list,
     colour_vertex,
@@ -33,13 +32,7 @@ from .generators import (
     gen_gq,
     gen_planted_partition,
 )
-from .graph import (
-    Graph,
-    degeneracy,
-    induced_subgraph,
-    is_d_degenerate,
-    max_degree,
-)
+from .graph import Graph, degeneracy, is_d_degenerate
 from .grids import GridSpec, make_grid, partition3d
 from .partition import (
     KdPartition,
@@ -49,7 +42,6 @@ from .partition import (
     SearchStatus,
     enumerate_last_layers,
     greedy_kd_partition,
-    layer_ordering_exists,
     search_kd_partition,
     verify_kd_partition,
 )
@@ -74,7 +66,6 @@ __all__ = [
     "RunTrace",
     "SearchResult",
     "SearchStatus",
-    "brute_force_equitable_coloring",
     "build_order",
     "colour_list",
     "colour_vertex",
@@ -87,11 +78,8 @@ __all__ = [
     "gen_gq",
     "gen_planted_partition",
     "greedy_kd_partition",
-    "induced_subgraph",
     "is_d_degenerate",
-    "layer_ordering_exists",
     "make_grid",
-    "max_degree",
     "modify_colour_lists",
     "partition3d",
     "reorder",

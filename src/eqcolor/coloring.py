@@ -347,13 +347,18 @@ def reorder(s_col: list[int], colors: Mapping[int, int], k: int, x: int) -> list
                     context={"pool": list(pool), "forbidden": sorted(forbidden)},
                 )
             out.append(pool.pop(idx))
-    for i in range(len(out) - k + 1):
-        window = out[i : i + k]
-        if len({colors[v] for v in window}) != k:
+    # One pass: the first colour seen again fewer than k places back ends
+    # the first non-rainbow window. Output shorter than k has no window.
+    last: dict[int, int] = {}
+    for i, v in enumerate(out if len(out) >= k else ()):
+        c = colors[v]
+        if i - last.get(c, -k) < k:
+            start = max(0, i - k + 1)
             raise InvariantError(
                 "repeated colour inside a window after reorder",
-                context={"start": i, "window": window},
+                context={"start": start, "window": out[start : start + k]},
             )
+        last[c] = i
     return out
 
 

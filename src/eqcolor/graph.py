@@ -12,15 +12,14 @@ from .errors import InputError
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Adjacency is kept as per-vertex sorted tuples (``_adj``) so that
-    iteration order is deterministic everywhere downstream; a parallel
-    tuple of frozensets (``_sets``) serves membership tests and set
-    arithmetic. The accessors below range-check their vertex; the package's
-    hot loops read ``_adj`` and ``_sets`` directly for vertices they have
-    already checked.
+    Adjacency is kept once, as per-vertex sorted tuples (``_adj``), so that
+    iteration order is deterministic everywhere downstream; set arithmetic
+    intersects a set the caller holds with a tuple. The accessors below
+    range-check their vertex; the package's hot loops read ``_adj``
+    directly for vertices they have already checked.
     """
 
-    __slots__ = ("n", "_adj", "_sets")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -35,7 +34,6 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in sets)
-        self._sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in sets)
 
     def _check(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -46,10 +44,6 @@ class Graph:
         self._check(v)
         return self._adj[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return self._sets[v]
-
     def degree(self, v: int) -> int:
         self._check(v)
         return len(self._adj[v])
@@ -57,7 +51,7 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        return v in self._sets[u]
+        return v in self._adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""

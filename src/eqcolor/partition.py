@@ -104,12 +104,12 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
         missing = next(v for v in range(n) if v not in seen)
         return _structure(f"vertex {missing} is not covered by any layer")
 
-    sets = g._sets
+    adj = g._adj
     earlier: set[int] = set()
     for j, layer in enumerate(p.layers, start=1):
         if j >= 2:
             for i, v in enumerate(layer, start=1):
-                back = len(sets[v] & earlier)
+                back = len(earlier.intersection(adj[v]))
                 allowed = d * i - 1
                 if back > allowed:
                     return PartitionVerdict(
@@ -170,7 +170,7 @@ def _ordered_if_feasible(
     g: Graph, subset: frozenset[int], degu: dict[int, int], d: int
 ) -> list[int] | None:
     """Certifying order for subset as the last layer of degu's vertices, or None."""
-    return _certified([(degu[v] - len(g.neighbor_set(v) & subset), v) for v in subset], d)
+    return _certified([(degu[v] - len(subset.intersection(g._adj[v])), v) for v in subset], d)
 
 
 def _last_layer_candidates(
@@ -185,7 +185,8 @@ def _last_layer_candidates(
     With a fixed base, lexicographic completions give lexicographic
     layers, so the merged streams are ordered and repeats are adjacent.
     """
-    degu = {v: len(g.neighbor_set(v) & universe) for v in universe}
+    adj = g._adj
+    degu = {v: len(universe.intersection(adj[v])) for v in universe}
     # A member keeps at most d*k - 1 external and k - 1 internal neighbours.
     members = sorted(v for v in universe if degu[v] <= d * k + k - 2)
     eligible = set(members)
@@ -193,8 +194,8 @@ def _last_layer_candidates(
     for v in members:
         if degu[v] > d + k - 2:  # v would drop over d - 1 or keep over k - 1
             continue
-        nset = g.neighbor_set(v)
-        nbrs = sorted(nset & universe)
+        nset = set(adj[v])
+        nbrs = [u for u in adj[v] if u in universe]
         others = [u for u in members if u != v and u not in nset]
         for size in range(max(0, len(nbrs) + 1 - k), min(d - 1, len(nbrs)) + 1):
             for dropped in combinations(nbrs, size):
@@ -269,10 +270,11 @@ def greedy_kd_partition(g: Graph, k: int, d: int) -> KdPartition | None:
         raise InputError("k and d must be positive")
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
+    adj = g._adj
     universe = set(range(g.n))
     peeled_rev: list[list[int]] = []
     while len(universe) > k:
-        degu = {v: len(g.neighbor_set(v) & universe) for v in universe}
+        degu = {v: len(universe.intersection(adj[v])) for v in universe}
         sset = frozenset(sorted(universe, key=lambda v: (degu[v], v))[:k])
         layer = _ordered_if_feasible(g, sset, degu, d)
         if layer is None:

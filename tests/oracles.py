@@ -16,10 +16,10 @@ from eqcolor import (
     ColoringViolation,
     Graph,
     KdPartition,
-    induced_subgraph,
     is_d_degenerate,
     verify_kd_partition,
 )
+from eqcolor.graph import induced_subgraph
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -122,6 +122,48 @@ def first_peel_sequence(g: Graph, k: int, d: int) -> list[list[int]] | None:
         return None
 
     return peel((1 << g.n) - 1)
+
+
+def greedy_peel(g: Graph, k: int, d: int) -> list[list[int]] | None:
+    """Layers of the greedy peel, or None, recomputed on bitmasks.
+
+    Each step takes the k remaining vertices smallest by (remaining degree,
+    id) as the next last layer and stores them sorted by (external degree,
+    id); the greedy gives up when the i-th of them has more than d*i - 1
+    remaining neighbours outside the layer.  The first layer is whatever is
+    left once at most k vertices remain, sorted.
+    """
+    masks = adjacency_masks(g)
+    remaining = (1 << g.n) - 1
+    peeled: list[list[int]] = []
+    while remaining.bit_count() > k:
+        ids = [v for v in range(g.n) if remaining >> v & 1]
+        chosen = sorted(ids, key=lambda v: ((masks[v] & remaining).bit_count(), v))[:k]
+        remaining &= ~sum(1 << v for v in chosen)
+        order = sorted(((masks[v] & remaining).bit_count(), v) for v in chosen)
+        if any(e > d * i - 1 for i, (e, _) in enumerate(order, start=1)):
+            return None
+        peeled.append([v for _, v in order])
+    return [[v for v in range(g.n) if remaining >> v & 1]] + peeled[::-1]
+
+
+def first_back_degree_violation(
+    g: Graph, layers: list[list[int]], d: int
+) -> tuple[int, int, int, int, int] | None:
+    """(layer, position, vertex, observed, allowed) of the first vertex, in
+    layer then position order, with more than d*i - 1 neighbours in earlier
+    layers, or None.  Layers are numbered from 1 and positions from 1."""
+    masks = adjacency_masks(g)
+    earlier = 0
+    for j, layer in enumerate(layers, start=1):
+        if j >= 2:
+            for i, v in enumerate(layer, start=1):
+                back = (masks[v] & earlier).bit_count()
+                if back > d * i - 1:
+                    return j, i, v, back, d * i - 1
+        for v in layer:
+            earlier |= 1 << v
+    return None
 
 
 def verify_coloring_by_subsets(g, lists, t, coloring: Coloring, d: int) -> ColoringVerdict:

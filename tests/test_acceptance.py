@@ -19,7 +19,6 @@ from eqcolor import (
     ListAssignment,
     RunTrace,
     SearchStatus,
-    brute_force_equitable_coloring,
     compute_counters,
     enumerate_last_layers,
     equitable_coloring,
@@ -32,6 +31,7 @@ from eqcolor import (
     verify_equitable_list_coloring,
     verify_kd_partition,
 )
+from eqcolor.coloring import brute_force_equitable_coloring
 from oracles import verify_coloring_by_subsets
 
 

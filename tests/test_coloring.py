@@ -18,20 +18,20 @@ from eqcolor import (
     KdPartition,
     ListAssignment,
     RunTrace,
-    brute_force_equitable_coloring,
     build_order,
     colour_vertex,
     compute_counters,
     equitable_coloring,
     gen_example2,
     gen_planted_partition,
-    induced_subgraph,
     is_d_degenerate,
     modify_colour_lists,
     reorder,
     verify_equitable_list_coloring,
     verify_kd_partition,
 )
+from eqcolor.coloring import brute_force_equitable_coloring
+from eqcolor.graph import induced_subgraph
 from oracles import verify_coloring_by_classes, verify_coloring_by_subsets
 
 
@@ -266,6 +266,42 @@ class TestReorder:
     def test_monochrome_block_cannot_be_fixed(self):
         with pytest.raises(InvariantError):
             reorder([0, 1], {0: 1, 1: 1}, 2, 0)
+
+    def test_repeated_prefix_colour_fails_the_window_check(self):
+        colors = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4}
+        with pytest.raises(InvariantError) as exc:
+            reorder([0, 1, 2, 3, 4], colors, 3, 2)
+        assert str(exc.value) == "repeated colour inside a window after reorder"
+        assert exc.value.context == {"start": 0, "window": [0, 1, 2]}
+
+    def test_window_check_fires_exactly_on_a_repeated_prefix(self):
+        # The greedy drain never repeats a colour within k places, so only a
+        # prefix (shorter than k) can: the first window, start 0, then fails.
+        rng = random.Random(4711)
+        failed = 0
+        for _ in range(400):
+            k = rng.randint(1, 5)
+            x = rng.randint(0, k - 1)
+            blocks = rng.randint(0, 3)
+            palette = list(range(1, k + 3))
+            s_col = list(range(x + blocks * k))
+            colors = {v: rng.choice(palette[:3]) for v in range(x)}
+            for b in range(blocks):
+                colors.update(zip(s_col[x + b * k : x + (b + 1) * k], rng.sample(palette, k)))
+            repeated = len({colors[v] for v in s_col[:x]}) < x
+            if repeated and len(s_col) >= k:
+                with pytest.raises(InvariantError) as exc:
+                    reorder(s_col, colors, k, x)
+                failed += 1
+                window = exc.value.context["window"]
+                assert exc.value.context["start"] == 0
+                assert window[:x] == s_col[:x]
+                assert len(set(window)) == k and set(window) <= set(s_col)
+            else:
+                out = reorder(s_col, colors, k, x)
+                for i in range(len(out) - k + 1):
+                    assert len({colors[v] for v in out[i : i + k]}) == k
+        assert failed > 0
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):

@@ -12,10 +12,10 @@ from eqcolor import (
     gen_example2,
     gen_gq,
     gen_planted_partition,
-    max_degree,
     search_kd_partition,
     verify_kd_partition,
 )
+from eqcolor.graph import max_degree
 
 
 class TestCliqueChain:
@@ -85,7 +85,7 @@ class TestShowcaseGraph:
         first_clique = {bundle.id_of(f"v_{a}^1") for a in range(1, 6)}
         for j in range(1, 6):
             v = bundle.id_of(f"v_{j}^2")
-            assert len(g.neighbor_set(v) & first_clique) == 6 - j
+            assert len(set(g.neighbors(v)) & first_clique) == 6 - j
 
     def test_lists_shape(self):
         bundle = gen_example2()

@@ -8,10 +8,9 @@ from eqcolor import (
     Graph,
     InputError,
     degeneracy,
-    induced_subgraph,
     is_d_degenerate,
-    max_degree,
 )
+from eqcolor.graph import induced_subgraph, max_degree
 from oracles import degeneracy_by_subsets
 
 

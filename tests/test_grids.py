@@ -163,7 +163,7 @@ class TestPartition3d:
             for j, layer in enumerate(p.layers):
                 if j > 0:
                     for i, v in enumerate(layer):
-                        back = len(g.neighbor_set(v) & earlier)
+                        back = len(set(g.neighbors(v)) & earlier)
                         assert back <= (1, 3, 4)[i], (dims, j, i)
                 earlier.update(layer)
 

@@ -18,13 +18,15 @@ from eqcolor import (
     gen_gq,
     gen_planted_partition,
     greedy_kd_partition,
-    layer_ordering_exists,
     search_kd_partition,
     verify_kd_partition,
 )
+from eqcolor.partition import layer_ordering_exists
 from oracles import (
     all_feasible_last_layers,
+    first_back_degree_violation,
     first_peel_sequence,
+    greedy_peel,
     partition_exists_by_permutations,
 )
 
@@ -131,6 +133,42 @@ class TestVerify:
         g = Graph(3, [(0, 1)])
         verdict = verify_kd_partition(g, KdPartition(2, 1, [[2], [0, 1]]))
         assert verdict.valid
+
+    def test_back_degree_verdict_matches_a_bitmask_recount(self):
+        # Valid planted layers, then shuffled inside layers, swapped across
+        # layers or replaced by a random permutation: the structure stays
+        # valid, so every verdict comes from the back-degree counts.
+        rng = random.Random(9203)
+        failures = set()
+        for seed in range(400):
+            n = rng.randint(1, 16)
+            k = rng.randint(1, min(4, n))
+            d = rng.randint(1, 3)
+            bundle = gen_planted_partition(n, k, d, seed=seed)
+            layers = [list(layer) for layer in bundle.partition.layers]
+            damage = rng.randrange(4)
+            if damage == 1:
+                for layer in layers:
+                    rng.shuffle(layer)
+            elif damage == 2 and len(layers) > 1:
+                a, b = rng.sample(range(len(layers)), 2)
+                i, j = rng.randrange(len(layers[a])), rng.randrange(len(layers[b]))
+                layers[a][i], layers[b][j] = layers[b][j], layers[a][i]
+            elif damage == 3:
+                perm = rng.sample(range(n), n)
+                sizes = [len(layer) for layer in layers]
+                layers = [perm[sum(sizes[:j]) : sum(sizes[: j + 1])] for j in range(len(sizes))]
+            verdict = verify_kd_partition(bundle.graph, KdPartition(k, d, layers))
+            expected = first_back_degree_violation(bundle.graph, layers, d)
+            assert verdict.valid == (expected is None)
+            if expected is None:
+                assert verdict.violation is None
+            else:
+                v = verdict.violation
+                assert v.kind == "back-degree"
+                assert (v.layer, v.position, v.vertex, v.observed, v.allowed) == expected
+                failures.add((v.layer > 2, v.position > 1))
+        assert len(failures) == 4
 
     def test_empty_graph(self):
         verdict = verify_kd_partition(Graph(0), KdPartition(2, 1, []))
@@ -282,6 +320,29 @@ class TestGreedy:
                 assert verify_kd_partition(g, p).valid
         assert returned > 0
 
+    def test_layers_match_the_bitmask_greedy(self):
+        rng = random.Random(8311)
+        returned = 0
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            g = random_graph(n, rng.random() * 0.3, rng)
+            k = rng.randint(1, min(4, n))
+            d = rng.randint(1, 3)
+            p = greedy_kd_partition(g, k, d)
+            expected = greedy_peel(g, k, d)
+            assert (None if p is None else p.layers) == expected
+            returned += expected is not None
+        assert 0 < returned < 300
+        returned = 0
+        for seed in range(12):
+            k, d = 1 + seed % 4, 1 + seed % 3
+            bundle = gen_planted_partition(30 + seed, k, d, seed=seed)
+            p = greedy_kd_partition(bundle.graph, k, d)
+            expected = greedy_peel(bundle.graph, k, d)
+            assert (None if p is None else p.layers) == expected
+            returned += expected is not None
+        assert 0 < returned < 12
+
     def test_succeeds_on_planted_instances(self):
         for seed in range(20):
             bundle = gen_planted_partition(17, 3, 2, seed=seed)
@@ -304,7 +365,7 @@ class TestEnumerateLastLayers:
         for layer in enumerate_last_layers(g, 2, 1):
             rest = universe - set(layer)
             for i, v in enumerate(layer, start=1):
-                assert len(g.neighbor_set(v) & rest) <= i - 1
+                assert len(set(g.neighbors(v)) & rest) <= i - 1
 
     def test_complete_against_subset_oracle(self):
         rng = random.Random(31415)
