@@ -11,6 +11,7 @@ is accepted as input and converts losslessly to the canonical form.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -36,6 +37,28 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
+def _exact_ints(values: Any, n: int | None = None) -> bool:
+    """Every value is exactly an int (not a bool) and, given n, in 0..n-1. A block
+    that fails takes its per-item loop, so its first bad item keeps its message."""
+    ints = set(map(type, values)) <= {int}
+    return ints and (n is None or min(values, default=0) >= 0 and max(values, default=-1) < n)
+
+
+def _int_rows(rows: Any, n: int | None = None) -> bool:
+    """Every row is a list of exact ints, in 0..n-1 given n."""
+    flat = chain.from_iterable(rows)
+    return set(map(type, rows)) <= {list} and _exact_ints(flat if n is None else list(flat), n)
+
+
+def _by_vertex(obj: dict[str, Any]) -> dict[int, Any] | None:
+    """``obj`` keyed by ``int(key)``; None if a key is not an id or two name one vertex."""
+    try:
+        out = dict(zip(map(int, obj), obj.values()))
+    except ValueError:
+        return None
+    return out if len(out) == len(obj) else None
+
+
 def _load_json(text: str, what: str) -> dict[str, Any]:
     try:
         doc = json.loads(text)
@@ -53,13 +76,7 @@ def _graph_from_obj(doc: dict[str, Any]) -> Graph:
     edges_obj = doc["edges"]
     if not isinstance(edges_obj, list):
         raise ParseError("'edges' must be a list of pairs")
-    # Bulk type check first; only a damaged list pays for the per-item loop
-    # that names its first bad item in document order.
-    if (
-        set(map(type, edges_obj)) <= {list}
-        and set(map(len, edges_obj)) <= {2}
-        and set(map(type, chain.from_iterable(edges_obj))) <= {int}
-    ):
+    if _int_rows(edges_obj) and set(map(len, edges_obj)) <= {2}:
         edges = edges_obj
     else:
         edges = []
@@ -129,12 +146,14 @@ def parse_graph_document(text: str) -> GraphDocument:
         names_obj = doc["names"]
         if not isinstance(names_obj, dict):
             raise ParseError("'names' must be an object")
-        names = {}
-        for label, vid in names_obj.items():
-            v = _as_int(vid, f"name {label!r}")
-            if not 0 <= v < graph.n:
-                raise ParseError(f"name {label!r} points at missing vertex {v}")
-            names[str(label)] = v
+        names = names_obj if _exact_ints(names_obj.values(), graph.n) else None
+        if names is None:
+            names = {}
+            for label, vid in names_obj.items():
+                v = _as_int(vid, f"name {label!r}")
+                if not 0 <= v < graph.n:
+                    raise ParseError(f"name {label!r} points at missing vertex {v}")
+                names[str(label)] = v
     partition = None
     if "partition" in doc:
         partition = _partition_from_obj(doc["partition"], graph.n)
@@ -155,20 +174,22 @@ def _partition_from_obj(obj: Any, n: int | None = None) -> KdPartition:
     layers_obj = obj["layers"]
     if not isinstance(layers_obj, list):
         raise ParseError("'layers' must be a list")
-    layers = []
-    for idx, layer in enumerate(layers_obj, start=1):
-        if not isinstance(layer, list):
-            raise ParseError(f"layer {idx} is not a list", context={"layer": idx})
-        members = []
-        for item in layer:
-            v = _as_int(item, f"vertex in layer {idx}")
-            if n is not None and not 0 <= v < n:
-                raise ParseError(
-                    f"layer {idx} references missing vertex {v}",
-                    context={"layer": idx, "vertex": v},
-                )
-            members.append(v)
-        layers.append(members)
+    layers = layers_obj if _int_rows(layers_obj, n) else None
+    if layers is None:
+        layers = []
+        for idx, layer in enumerate(layers_obj, start=1):
+            if not isinstance(layer, list):
+                raise ParseError(f"layer {idx} is not a list", context={"layer": idx})
+            members = []
+            for item in layer:
+                v = _as_int(item, f"vertex in layer {idx}")
+                if n is not None and not 0 <= v < n:
+                    raise ParseError(
+                        f"layer {idx} references missing vertex {v}",
+                        context={"layer": idx, "vertex": v},
+                    )
+                members.append(v)
+            layers.append(members)
     try:
         return KdPartition(k=k, d=d, layers=layers)
     except EqcolorError as exc:
@@ -191,17 +212,19 @@ def _lists_from_obj(obj: Any) -> ListAssignment:
     lists_obj = obj["lists"]
     if not isinstance(lists_obj, dict):
         raise ParseError("'lists' must be an object keyed by vertex")
-    lists: dict[int, list[int]] = {}
-    for key, value in lists_obj.items():
-        try:
-            v = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"list key {key!r} is not a vertex id") from None
-        if v in lists:
-            raise ParseError(f"list key {key!r} repeats vertex {v}", context={"vertex": v})
-        if not isinstance(value, list):
-            raise ParseError(f"list of vertex {v} is not a list", context={"vertex": v})
-        lists[v] = [_as_int(c, f"colour of vertex {v}") for c in value]
+    lists = _by_vertex(lists_obj) if _int_rows(lists_obj.values()) else None
+    if lists is None:
+        lists = {}
+        for key, value in lists_obj.items():
+            try:
+                v = int(key)
+            except (TypeError, ValueError):
+                raise ParseError(f"list key {key!r} is not a vertex id") from None
+            if v in lists:
+                raise ParseError(f"list key {key!r} repeats vertex {v}", context={"vertex": v})
+            if not isinstance(value, list):
+                raise ParseError(f"list of vertex {v} is not a list", context={"vertex": v})
+            lists[v] = [_as_int(c, f"colour of vertex {v}") for c in value]
     try:
         return ListAssignment(t, lists)
     except EqcolorError as exc:
@@ -224,20 +247,23 @@ def parse_coloring(text: str) -> Coloring:
     colors_obj = doc["colors"]
     if not isinstance(colors_obj, dict):
         raise ParseError("'colors' must be an object keyed by vertex")
-    colors: dict[int, int] = {}
-    for key, value in colors_obj.items():
-        try:
-            v = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"colour key {key!r} is not a vertex id") from None
-        if v in colors:
-            raise ParseError(f"colour key {key!r} repeats vertex {v}", context={"vertex": v})
-        colors[v] = _as_int(value, f"colour of vertex {v}")
+    colors = _by_vertex(colors_obj) if _exact_ints(colors_obj.values()) else None
+    if colors is None:
+        colors = {}
+        for key, value in colors_obj.items():
+            try:
+                v = int(key)
+            except (TypeError, ValueError):
+                raise ParseError(f"colour key {key!r} is not a vertex id") from None
+            if v in colors:
+                raise ParseError(f"colour key {key!r} repeats vertex {v}", context={"vertex": v})
+            colors[v] = _as_int(value, f"colour of vertex {v}")
     return Coloring(colors)
 
 
 def graph_to_obj(doc: GraphDocument) -> dict[str, Any]:
-    obj: dict[str, Any] = {"n": doc.graph.n, "edges": [[u, v] for u, v in doc.graph.edges()]}
+    edges = [[u, v] for u, adj in enumerate(doc.graph._adj) for v in adj if u < v]
+    obj: dict[str, Any] = {"n": doc.graph.n, "edges": edges}
     if doc.names is not None:
         obj["names"] = dict(sorted(doc.names.items(), key=lambda kv: kv[1]))
     if doc.partition is not None:
@@ -267,26 +293,38 @@ def _key(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _rows(values: Any, inner: str) -> Iterator[str] | None:
+    """Each of ``values`` as ``_encode`` writes it at ``inner``, by one ``%d``
+    template per row length; None unless every value is a list of exact ints."""
+    if not _int_rows(values):
+        return None
+    cell = "," + inner + "  %d"
+    templates = {m: f"[{(cell * m)[1:]}{inner}]" if m else "[]" for m in set(map(len, values))}
+    return map(str.__mod__, map(templates.__getitem__, map(len, values)), map(tuple, values))
+
+
 def _encode(value: Any, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at ``indent``.
 
-    Members that are exact ints or strs are written inline, which saves a
-    call per vertex id; everything that is not a non-empty container goes
-    to ``json.dumps``.
+    Rows of ints go through ``_rows``; other exact ints and strs are written
+    inline, which saves a call per vertex id; everything that is not a
+    non-empty container goes to ``json.dumps``.
     """
     if isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join([
+        return "[" + inner + ("," + inner).join(_rows(value, inner) or [
             int.__repr__(v) if type(v) is int else _escape(v) if type(v) is str else _encode(v, inner)
             for v in value
         ]) + indent + "]"
     if isinstance(value, dict) and value:
         inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
+        rows = _rows(value.values(), inner) if set(map(type, value)) <= {str} else None
+        members = map("%s: %s".__mod__, zip(map(_escape, value), rows)) if rows else [
             (_escape(k) if type(k) is str else _key(k)) + ": "
             + (int.__repr__(v) if type(v) is int else _escape(v) if type(v) is str else _encode(v, inner))
             for k, v in value.items()
-        ]) + indent + "}"
+        ]
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
     return json.dumps(value)
 
 

@@ -279,6 +279,140 @@ def test_damaged_edges_keep_their_message(edges, message, tmp_path, capsys):
     }
 
 
+# Messages and contexts of the per-item parsers of the other int blocks,
+# recorded before they were validated in bulk: the first bad item in
+# document order is still the one named. Names, layers and lists travel
+# embedded in a graph document of n = 4; lists have t = 2.
+_DAMAGED_NAMES = {
+    "bool": ({"a": 0, "b": True}, "name 'b' must be an integer, got True", {}),
+    "float": ({"a": 1.0}, "name 'a' must be an integer, got 1.0", {}),
+    "str": ({"a": "1"}, "name 'a' must be an integer, got '1'", {}),
+    "null": ({"a": None}, "name 'a' must be an integer, got None", {}),
+    "nested-list": ({"a": [1]}, "name 'a' must be an integer, got [1]", {}),
+    "negative": ({"a": 0, "b": -1}, "name 'b' points at missing vertex -1", {}),
+    "out-of-range": ({"a": 3, "b": 4}, "name 'b' points at missing vertex 4", {}),
+    "range-before-type": ({"a": 9, "b": "x"}, "name 'a' points at missing vertex 9", {}),
+    "type-before-range": ({"a": "x", "b": 9}, "name 'a' must be an integer, got 'x'", {}),
+    "not-an-object": ([0, 1], "'names' must be an object", {}),
+}
+_DAMAGED_LAYERS = {
+    "bool": ([[0, True]], "vertex in layer 1 must be an integer, got True", {}),
+    "float": ([[0], [1.0]], "vertex in layer 2 must be an integer, got 1.0", {}),
+    "str": ([[0], ["1"]], "vertex in layer 2 must be an integer, got '1'", {}),
+    "null": ([[None]], "vertex in layer 1 must be an integer, got None", {}),
+    "nested-list": ([[0, [1]]], "vertex in layer 1 must be an integer, got [1]", {}),
+    "negative": ([[0], [1, -1]], "layer 2 references missing vertex -1", {"layer": 2, "vertex": -1}),
+    "out-of-range": ([[0], [4]], "layer 2 references missing vertex 4", {"layer": 2, "vertex": 4}),
+    "non-list-layer": ([[0], 5], "layer 2 is not a list", {"layer": 2}),
+    "range-before-type": ([[9], ["x"]], "layer 1 references missing vertex 9", {"layer": 1, "vertex": 9}),
+    "type-before-range": ([["x"], [9]], "vertex in layer 1 must be an integer, got 'x'", {}),
+    "type-before-non-list": ([[0, "x"], 3], "vertex in layer 1 must be an integer, got 'x'", {}),
+    "not-a-list": ({"0": [0]}, "'layers' must be a list", {}),
+}
+_DAMAGED_LISTS = {
+    "bool": ({"0": [1, True]}, "colour of vertex 0 must be an integer, got True", {}),
+    "float": ({"0": [1, 2.0]}, "colour of vertex 0 must be an integer, got 2.0", {}),
+    "str": ({"0": [1, "2"]}, "colour of vertex 0 must be an integer, got '2'", {}),
+    "null": ({"0": [None, 1]}, "colour of vertex 0 must be an integer, got None", {}),
+    "nested-list": ({"0": [1, [2]]}, "colour of vertex 0 must be an integer, got [2]", {}),
+    "negative-colour": (
+        {"0": [-1, 2]}, "lists document rejected: list of vertex 0 holds invalid colour -1", {},
+    ),
+    "repeat": ({"3": [1, 2], "03": [1, 2]}, "list key '03' repeats vertex 3", {"vertex": 3}),
+    "space-repeat": ({"3": [1, 2], " 3": [1, 2]}, "list key ' 3' repeats vertex 3", {"vertex": 3}),
+    "non-numeric-key": ({"0": [1, 2], "zero": [1, 2]}, "list key 'zero' is not a vertex id", {}),
+    "non-list-value": ({"0": [1, 2], "1": 5}, "list of vertex 1 is not a list", {"vertex": 1}),
+    "range-before-type": (
+        {"0": [0, 1], "1": [1, "x"]}, "colour of vertex 1 must be an integer, got 'x'", {},
+    ),
+    "repeat-before-type": (
+        {"3": [1, 2], "03": [1, 2], "4": ["x", 1]}, "list key '03' repeats vertex 3", {"vertex": 3},
+    ),
+    "type-before-repeat": (
+        {"4": ["x", 1], "3": [1, 2], "03": [1, 2]}, "colour of vertex 4 must be an integer, got 'x'", {},
+    ),
+    "wrong-length": ({"0": [1]}, "lists document rejected: list of vertex 0 has 1 colours, expected 2", {}),
+    "not-an-object": ([[1, 2]], "'lists' must be an object keyed by vertex", {}),
+}
+_DAMAGED_COLORS = {
+    "bool": ({"0": 1, "1": True}, "colour of vertex 1 must be an integer, got True", {}),
+    "float": ({"0": 1.0}, "colour of vertex 0 must be an integer, got 1.0", {}),
+    "str": ({"0": "red"}, "colour of vertex 0 must be an integer, got 'red'", {}),
+    "null": ({"0": None}, "colour of vertex 0 must be an integer, got None", {}),
+    "nested-list": ({"0": [1]}, "colour of vertex 0 must be an integer, got [1]", {}),
+    "repeat": ({"3": 1, "03": 2}, "colour key '03' repeats vertex 3", {"vertex": 3}),
+    "space-repeat": ({"3": 1, " 3": 2}, "colour key ' 3' repeats vertex 3", {"vertex": 3}),
+    "non-numeric-key": ({"0": 1, "x": 1}, "colour key 'x' is not a vertex id", {}),
+    "negative-key-before-type": ({"-1": 1, "0": "x"}, "colour of vertex 0 must be an integer, got 'x'", {}),
+    "repeat-before-type": ({"3": 1, "03": 2, "4": "x"}, "colour key '03' repeats vertex 3", {"vertex": 3}),
+    "type-before-repeat": ({"4": "x", "3": 1, "03": 2}, "colour of vertex 4 must be an integer, got 'x'", {}),
+    "not-an-object": ([1], "'colors' must be an object keyed by vertex", {}),
+}
+_DAMAGED_BLOCKS = [
+    pytest.param(kind, *case, id=f"{kind}-{name}")
+    for kind, table in (
+        ("names", _DAMAGED_NAMES),
+        ("layers", _DAMAGED_LAYERS),
+        ("lists", _DAMAGED_LISTS),
+        ("colors", _DAMAGED_COLORS),
+    )
+    for name, case in table.items()
+]
+
+
+@pytest.mark.parametrize("kind, value, message, context", _DAMAGED_BLOCKS)
+def test_damaged_blocks_keep_their_message(kind, value, message, context, tmp_path, capsys):
+    graph = {"n": 4, "edges": []}
+    embedded = {
+        "names": {"names": value},
+        "layers": {"partition": {"k": 1, "d": 1, "layers": value}},
+        "lists": {"lists": {"t": 2, "lists": value}},
+        "colors": {},
+    }[kind]
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({**graph, **embedded}))
+    if kind == "colors":
+        text = json.dumps({"colors": value})
+        parse, argv = parse_coloring, ["verify-coloring", "--graph", str(graph_path), "-d", "1"]
+        (tmp_path / "l.json").write_text(json.dumps({"t": 1, "lists": {str(v): [1] for v in range(4)}}))
+        (tmp_path / "c.json").write_text(text)
+        argv += ["--lists", str(tmp_path / "l.json"), "--coloring", str(tmp_path / "c.json")]
+    else:
+        text = graph_path.read_text()
+        parse, argv = parse_graph_document, ["degeneracy", "--graph", str(graph_path)]
+    parsers = [parse, parse_lists] if kind == "lists" else [parse]
+    for parser in parsers:
+        with pytest.raises(ParseError) as info:
+            parser(text)
+        assert (str(info.value), info.value.context) == (message, context)
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "parse-error", "message": message, "context": context,
+    }
+
+
+def test_standalone_layers_are_not_range_checked():
+    text = '{"k": 1, "d": 1, "layers": [[0], [-1, 9], []]}'
+    assert parse_partition(text).layers == [[0], [-1, 9], []]
+
+
+def test_valid_int_blocks_parse_to_their_values():
+    text = json.dumps({
+        "n": 5,
+        "edges": [[0, 1]],
+        "names": {"a": 4, "b": 0, "c": 0},
+        "partition": {"k": 2, "d": 1, "layers": [[4], [], [0, 3, 1, 2]]},
+        "lists": {"t": 2, "lists": {"4": [3, 1], "-1": [2, 5], " 07": [1, 2]}},
+    })
+    doc = parse_graph_document(text)
+    assert doc.names == {"a": 4, "b": 0, "c": 0}
+    assert doc.partition.layers == [[4], [], [0, 3, 1, 2]]
+    assert doc.lists.items() == [(-1, (2, 5)), (4, (1, 3)), (7, (1, 2))]
+    assert parse_lists(text) == doc.lists
+    colors = parse_coloring('{"colors": {"2": 1, "-3": 7, " 10": 2}}').colors
+    assert list(colors.items()) == [(2, 1), (-3, 7), (10, 2)]
+
+
 class _Colour(IntEnum):
     RED = 1
 
@@ -294,10 +428,40 @@ _VALUES = st.recursive(
     ),
     max_leaves=20,
 )
+# Containers of int rows, mostly pure (lists of exact ints) so that the
+# row writer runs, and some with a bool, an IntEnum, a float, a tuple row
+# or a deeper row mixed in, which must take the general path.
+_ROW = st.lists(st.integers(), max_size=4)
+_ODD_ROW = (
+    _ROW.map(tuple)
+    | st.lists(st.integers() | st.sampled_from([True, False, _Colour.RED, 1.5]), min_size=1, max_size=4)
+    | st.lists(_ROW | st.integers(), min_size=1, max_size=3)
+)
+_ROWS = st.lists(_ROW, min_size=2, max_size=6) | st.lists(_ROW | _ODD_ROW, min_size=2, max_size=6)
+_ROW_VALUES = (
+    _ROWS
+    | _ROWS.map(tuple)
+    | st.dictionaries(st.text(), _ROW, min_size=1, max_size=5)
+    | st.dictionaries(st.integers() | st.text(), _ROW | _ODD_ROW, min_size=1, max_size=5)
+    | st.lists(_ROWS, min_size=1, max_size=3)
+    | st.dictionaries(st.text(), _ROWS, min_size=1, max_size=3)
+)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+@given(_VALUES | _ROW_VALUES)
+@example([[0, 1], [], [2, 3, 4], [-5], [10**30, 0]])
+@example({"lists": {"0": [1, 2], "1": [], "xé\"": [3]}, "t": 2})
+@example({1: [1, 2], 2: [3]})
+@example({"a": [1], 2: [2]})
+@example([[0, True], [1, 2]])
+@example([[_Colour.RED, 1], [2, 3]])
+@example([[1.0, 2], [3]])
+@example([(0, 1), [2, 3]])
+@example(([0, 1], [2]))
+@example([[[0, 1], [2]], [[3]], []])
+@example([[0, [1, 2]], [3]])
+@example([[], []])
 @example("caf\u00e9 \u2028 \x00\x1f \ud800 \"\\ \U0001f600")
 @example([math.nan, math.inf, -math.inf, -0.0, 1e300, True, None, [], {}, ()])
 @example({1: [], 2.5: {}, math.nan: 0, True: (), None: [[[]]], "": [1, "a"]})
