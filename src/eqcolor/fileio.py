@@ -262,8 +262,7 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def graph_to_obj(doc: GraphDocument) -> dict[str, Any]:
-    edges = [[u, v] for u, adj in enumerate(doc.graph._adj) for v in adj if u < v]
-    obj: dict[str, Any] = {"n": doc.graph.n, "edges": edges}
+    obj: dict[str, Any] = {"n": doc.graph.n, "edges": [[u, v] for u, v in doc.graph.edges()]}
     if doc.names is not None:
         obj["names"] = dict(sorted(doc.names.items(), key=lambda kv: kv[1]))
     if doc.partition is not None:

@@ -448,8 +448,18 @@ _ROW_VALUES = (
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_VALUES | _ROW_VALUES)
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+@example("caf\u00e9 \u2028 \x00\x1f \ud800 \"\\ \U0001f600")
+@example([math.nan, math.inf, -math.inf, -0.0, 1e300, True, None, [], {}, ()])
+@example({1: [], 2.5: {}, math.nan: 0, True: (), None: [[[]]], "": [1, "a"]})
+@example({_Colour.RED: _Colour.RED, "nested": {"a": [{"b": ()}], "c": [[1, 2], [3]]}})
+def test_dump_matches_json_dumps_indent_2(value):
+    assert dump(value) == json.dumps(value, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROW_VALUES)
 @example([[0, 1], [], [2, 3, 4], [-5], [10**30, 0]])
 @example({"lists": {"0": [1, 2], "1": [], "xé\"": [3]}, "t": 2})
 @example({1: [1, 2], 2: [3]})
@@ -462,11 +472,7 @@ _ROW_VALUES = (
 @example([[[0, 1], [2]], [[3]], []])
 @example([[0, [1, 2]], [3]])
 @example([[], []])
-@example("caf\u00e9 \u2028 \x00\x1f \ud800 \"\\ \U0001f600")
-@example([math.nan, math.inf, -math.inf, -0.0, 1e300, True, None, [], {}, ()])
-@example({1: [], 2.5: {}, math.nan: 0, True: (), None: [[[]]], "": [1, "a"]})
-@example({_Colour.RED: _Colour.RED, "nested": {"a": [{"b": ()}], "c": [[1, 2], [3]]}})
-def test_dump_matches_json_dumps_indent_2(value):
+def test_dump_matches_json_dumps_indent_2_on_int_rows(value):
     assert dump(value) == json.dumps(value, indent=2) + "\n"
 
 
