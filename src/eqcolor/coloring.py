@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import countOf
 from random import Random
 
 from .errors import InputError, InvariantError
@@ -196,7 +198,11 @@ class AlgorithmState:
 
     Tracks the shrinking colour lists, the partial colouring, and for
     every vertex a count of same-coloured neighbours per colour; the
-    counts drive list pruning inside colour_vertex.
+    counts drive list pruning inside colour_list. A count is kept only
+    while it can prune: counts[w][c] grows only while w is uncoloured and
+    c is still in w's list. Lists only shrink, so a colour that has left
+    a list never returns and its later hits cannot matter, and a coloured
+    vertex's counts are never read again.
     """
 
     def __init__(
@@ -211,19 +217,19 @@ class AlgorithmState:
     ) -> None:
         if k < 1 or d < 1:
             raise InputError("k and d must be positive")
+        n = graph.n
         given = lists._lists
-        working: dict[int, set[int]] = {}
-        for v in range(graph.n):
-            if v not in given:
-                raise InputError(f"list assignment misses vertex {v}")
-            working[v] = set(given[v])
+        try:  # map runs in vertex order: a KeyError names the smallest missing vertex
+            working = dict(zip(range(n), map(set, map(given.__getitem__, range(n)))))
+        except KeyError as missing:
+            raise InputError(f"list assignment misses vertex {missing.args[0]}") from None
         self.graph = graph
         self.k = k
         self.d = d
         self.t = lists.t
-        self.lists = working
+        self.lists: dict[int, set[int]] = working
         self.colors: dict[int, int] = {}
-        self.counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        self.counts: list[dict[int, int]] = [{} for _ in range(n)]
         self.rng = rng
         self.debug = debug
 
@@ -239,46 +245,16 @@ def build_order(p: KdPartition) -> list[int]:
 def colour_vertex(state: AlgorithmState, v: int) -> int:
     """Colour v from its current list and prune neighbouring lists.
 
-    Picks the smallest available colour (or a seeded-uniform one when the
-    state carries an rng). After assigning c, any uncoloured neighbour
-    that now has exactly d neighbours coloured c loses c from its list;
-    the count crosses d exactly once per vertex and colour, so each
-    removal fires exactly once.
+    This is colour_list's step on v alone: it picks the smallest available
+    colour (or a seeded-uniform one when the state carries an rng), and
+    each uncoloured neighbour w still holding that colour c counts a hit
+    and loses c once d neighbours wear it. Other hits are not counted:
+    they could never prune, and the debug degeneracy check reads
+    counts[v][c] only for a c that v's list held all along, every hit on
+    which was counted.
     """
-    if v in state.colors:
-        raise InputError(f"vertex {v} is already coloured")
-    lv = state.lists[v]
-    if not lv:
-        raise InvariantError(
-            f"empty colour list at vertex {v}",
-            context={
-                "vertex": v,
-                "assigned": len(state.colors),
-                "n": state.graph.n,
-                "t": state.t,
-                "k": state.k,
-                "d": state.d,
-            },
-        )
-    c = min(lv) if state.rng is None else state.rng.choice(sorted(lv))
-    d = state.d
-    if state.debug and state.counts[v].get(c, 0) >= d:
-        # Every vertex joins its class with at most d-1 earlier same-coloured
-        # neighbours, so colouring order is a smallest-last certificate that
-        # each class is (d-1)-degenerate.
-        raise InvariantError(
-            f"colour class {c} lost ({d - 1})-degeneracy at vertex {v}",
-            context={"vertex": v, "color": c, "same_coloured_neighbours": state.counts[v][c]},
-        )
-    state.colors[v] = c
-    colors = state.colors
-    for w in state.graph._adj[v]:
-        cnt = state.counts[w]
-        new = cnt.get(c, 0) + 1
-        cnt[c] = new
-        if new == d and w not in colors:
-            state.lists[w].discard(c)
-    return c
+    colour_list(state, [v], 1)
+    return state.colors[v]
 
 
 def colour_list(
@@ -293,25 +269,55 @@ def colour_list(
     block has already used, which forces pairwise distinct colours. The
     optional min_size callback is a debug hook: given the 1-based position
     inside a block it returns the smallest list size the theory
-    guarantees at that point.
+    guarantees at that point. Each vertex is coloured as colour_vertex
+    describes.
     """
     if not vertices:
         return
     if p < 1 or len(vertices) % p:
         raise InputError(f"length {len(vertices)} is not a positive multiple of {p}")
+    lists, colors, counts, adj = state.lists, state.colors, state.counts, state.graph._adj
+    d, rng, debug = state.d, state.rng, state.debug
+    floors = debug and min_size is not None
     for start in range(0, len(vertices), p):
         used: set[int] = set()
         for i, v in enumerate(vertices[start : start + p], start=1):
-            lv = state.lists[v]
+            lv = lists[v]
             lv -= used
-            if state.debug and min_size is not None:
+            if floors:
                 floor = min_size(i)
                 if len(lv) < floor:
                     raise InvariantError(
                         f"list of vertex {v} shrank to {len(lv)}, floor is {floor}",
                         context={"vertex": v, "position": i, "size": len(lv), "floor": floor},
                     )
-            used.add(colour_vertex(state, v))
+            if v in colors:
+                raise InputError(f"vertex {v} is already coloured")
+            if not lv:
+                raise InvariantError(
+                    f"empty colour list at vertex {v}",
+                    context={"vertex": v, "assigned": len(colors), "n": state.graph.n,
+                             "t": state.t, "k": state.k, "d": d},
+                )
+            c = min(lv) if rng is None else rng.choice(sorted(lv))
+            if debug and counts[v].get(c, 0) >= d:
+                # Every vertex joins its class with at most d-1 earlier same-coloured
+                # neighbours, so colouring order is a smallest-last certificate that
+                # each class is (d-1)-degenerate.
+                raise InvariantError(
+                    f"colour class {c} lost ({d - 1})-degeneracy at vertex {v}",
+                    context={"vertex": v, "color": c, "same_coloured_neighbours": counts[v][c]},
+                )
+            colors[v] = c
+            used.add(c)
+            for w in adj[v]:
+                if w not in colors:
+                    lw = lists[w]
+                    if c in lw:
+                        cw = counts[w]
+                        cw[c] = hits = cw.get(c, 0) + 1
+                        if hits == d:
+                            lw.remove(c)
 
 
 def reorder(s_col: list[int], colors: Mapping[int, int], k: int, x: int) -> list[int]:
@@ -331,13 +337,13 @@ def reorder(s_col: list[int], colors: Mapping[int, int], k: int, x: int) -> list
     if (len(s_col) - x) % k:
         raise InputError(f"length {len(s_col)} minus prefix {x} is not a multiple of {k}")
     out = list(s_col[:x])
+    outc = [colors[v] for v in out]  # the colours of out, slot by slot
     pos = x
     while pos < len(s_col):
         pool = list(s_col[pos : pos + k])
         pos += k
         for _ in range(k):
-            recent = out[-(k - 1) :] if k > 1 else []
-            forbidden = {colors[w] for w in recent}
+            forbidden = set(outc[-(k - 1) :] if k > 1 else ())
             for idx, v in enumerate(pool):
                 if colors[v] not in forbidden:
                     break
@@ -347,11 +353,11 @@ def reorder(s_col: list[int], colors: Mapping[int, int], k: int, x: int) -> list
                     context={"pool": list(pool), "forbidden": sorted(forbidden)},
                 )
             out.append(pool.pop(idx))
+            outc.append(colors[v])
     # One pass: the first colour seen again fewer than k places back ends
     # the first non-rainbow window. Output shorter than k has no window.
     last: dict[int, int] = {}
-    for i, v in enumerate(out if len(out) >= k else ()):
-        c = colors[v]
+    for i, c in enumerate(outc if len(outc) >= k else ()):
         if i - last.get(c, -k) < k:
             start = max(0, i - k + 1)
             raise InvariantError(
@@ -461,22 +467,17 @@ def equitable_coloring(
         trace.order = list(order)
 
     k = p.k
-    pos = c.r2
-    colour_list(state, order[:pos], c.r2, min_size=lambda i: t - (i - 1))
-    x_block = order[pos : pos + c.x]
-    pos += c.x
-    colour_list(state, x_block, c.x or 1, min_size=lambda i: t - k + 1)
-    s_col = list(x_block)
-    for _ in range(c.rho):
-        block = order[pos : pos + k]
-        pos += k
-        colour_list(state, block, k, min_size=lambda i: t - k + 1)
-        s_col.extend(block)
+    x_end = c.r2 + c.x
+    s_end = x_end + c.rho * k
+    colour_list(state, order[: c.r2], c.r2, min_size=lambda i: t - (i - 1))
+    colour_list(state, order[c.r2 : x_end], c.x or 1, min_size=lambda i: t - k + 1)
+    colour_list(state, order[x_end:s_end], k, min_size=lambda i: t - k + 1)
+    s_col = order[c.r2 : s_end]
     if trace is not None:
         trace.s_col_initial = list(s_col)
 
     s_col = reorder(s_col, state.colors, k, c.x)
-    rest = order[pos:]
+    rest = order[s_end:]
     gk = c.gamma * k
     modify_colour_lists(state, s_col, rest, c.r, gk)
     if trace is not None:
@@ -484,9 +485,7 @@ def equitable_coloring(
         trace.rest_order = list(rest)
         trace.lists_after_modify = {v: tuple(sorted(state.lists[v])) for v in rest}
 
-    colour_list(
-        state, rest, gk, min_size=lambda i: t - c.r - k - ((i - 1) // k) * k + 1
-    )
+    colour_list(state, rest, gk, min_size=lambda i: t - c.r - k - ((i - 1) // k) * k + 1)
     if debug:
         _check_decomposition(state, c, order[: c.r2], s_col, rest)
     return Coloring(dict(state.colors))
@@ -543,7 +542,8 @@ def verify_equitable_list_coloring(
         )
     adj = g._adj
     limit = d - 1
-    same = [[col[w] for w in a].count(c) for a, c in zip(adj, col)]
+    # same[v] = countOf(map(col.__getitem__, adj[v]), col[v]), all in C.
+    same = list(map(countOf, map(map, repeat(col.__getitem__), adj), col))
     peeled = [s <= limit for s in same]
     stack = [v for v in range(n) if peeled[v]]
     for v in stack:  # grows while it is walked

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -25,7 +27,9 @@ from eqcolor import (
     gen_example2,
     gen_planted_partition,
     is_d_degenerate,
+    make_grid,
     modify_colour_lists,
+    partition3d,
     reorder,
     verify_equitable_list_coloring,
     verify_kd_partition,
@@ -506,6 +510,15 @@ class TestPipelineBehaviour:
             )
             assert verdict.valid, verdict.violation
 
+    def test_missing_lists_name_the_smallest_vertex(self):
+        bundle = gen_planted_partition(10, 2, 2, seed=1)
+        lists = ListAssignment(2, {v: [1, 2] for v in range(10) if v not in (3, 7)})
+        message = "list assignment misses vertex 3"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            AlgorithmState(bundle.graph, lists, 2, 2)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            equitable_coloring(bundle.graph, bundle.partition, lists)
+
     def test_single_vertex_graph(self):
         g = Graph(1)
         p = KdPartition(1, 1, [[0]])
@@ -788,3 +801,46 @@ class TestBruteForce:
 def test_build_order_reverses_each_layer():
     p = KdPartition(2, 1, [[4], [0, 1], [2, 3]])
     assert build_order(p) == [4, 1, 0, 3, 2]
+
+
+# SHA-256 of _pinned_runs(), recorded on the colouring code before its
+# per-vertex step was fused into colour_list; default and seeded colourings
+# must not change.
+PINNED = "4144dda467c341c95e67d86a5316e5b80b3639b1d45d5542409e777e0d5cc1f5"
+
+
+def _pinned_runs():
+    """Colourings and traces of 408 seeded runs, one repr per run.
+
+    34 graphs (30 planted, 4 grids), three t >= k each, both tie-breaks,
+    debug off and on.
+    """
+    rng = random.Random(2610)
+    graphs = []
+    for _ in range(30):
+        n, k, d = rng.randint(8, 60), rng.randint(1, 4), rng.randint(1, 3)
+        bundle = gen_planted_partition(n, k, d, seed=rng.randrange(2**30))
+        graphs.append((bundle.graph, bundle.partition))
+    for dims in [(2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 3, 5)]:
+        graphs.append((make_grid(dims)[0], partition3d(dims)))
+    for g, p in graphs:
+        for t in (p.k, p.k + 1, p.k + 3):
+            lists = ListAssignment.uniform_random(g.n, t, 2 * t, rng)
+            seed = rng.randrange(2**30)
+            for tie_break in ("smallest", "seeded"):
+                for debug in (False, True):
+                    trace = RunTrace()
+                    coloring = equitable_coloring(
+                        g, p, lists, tie_break=tie_break, seed=seed, debug=debug, trace=trace
+                    )
+                    fields = dataclasses.astuple(trace)
+                    yield repr((sorted(coloring.colors.items()), fields[:-1], sorted(fields[-1].items())))
+
+
+def test_colourings_match_the_pinned_digest():
+    """Every colouring and RunTrace field is the one the reference code produced."""
+    digest = hashlib.sha256()
+    for line in _pinned_runs():
+        digest.update(line.encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == PINNED
