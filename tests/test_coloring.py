@@ -803,9 +803,9 @@ def test_build_order_reverses_each_layer():
     assert build_order(p) == [4, 1, 0, 3, 2]
 
 
-# SHA-256 of _pinned_runs(), recorded on the colouring code before its
-# per-vertex step was fused into colour_list; default and seeded colourings
-# must not change.
+# SHA-256 of _pinned_runs(), recorded on the reference implementation.
+# Any change to a default or seeded colouring, or to a RunTrace field,
+# changes it.
 PINNED = "4144dda467c341c95e67d86a5316e5b80b3639b1d45d5542409e777e0d5cc1f5"
 
 
@@ -833,7 +833,7 @@ def _pinned_runs():
                     coloring = equitable_coloring(
                         g, p, lists, tie_break=tie_break, seed=seed, debug=debug, trace=trace
                     )
-                    fields = dataclasses.astuple(trace)
+                    fields = dataclasses.astuple(trace)  # ends with the lists_after_modify dict
                     yield repr((sorted(coloring.colors.items()), fields[:-1], sorted(fields[-1].items())))
 
 
