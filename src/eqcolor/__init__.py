@@ -8,20 +8,14 @@ the command line (fileio, cli).
 """
 
 from .coloring import (
-    AlgorithmState,
     Coloring,
     ColoringVerdict,
     ColoringViolation,
     Counters,
     ListAssignment,
     RunTrace,
-    build_order,
-    colour_list,
-    colour_vertex,
     compute_counters,
     equitable_coloring,
-    modify_colour_lists,
-    reorder,
     verify_equitable_list_coloring,
 )
 from .errors import EqcolorError, InputError, InvariantError, ParseError
@@ -47,7 +41,6 @@ from .partition import (
 )
 
 __all__ = [
-    "AlgorithmState",
     "Coloring",
     "ColoringVerdict",
     "ColoringViolation",
@@ -66,9 +59,6 @@ __all__ = [
     "RunTrace",
     "SearchResult",
     "SearchStatus",
-    "build_order",
-    "colour_list",
-    "colour_vertex",
     "compute_counters",
     "degeneracy",
     "enumerate_last_layers",
@@ -80,9 +70,7 @@ __all__ = [
     "greedy_kd_partition",
     "is_d_degenerate",
     "make_grid",
-    "modify_colour_lists",
     "partition3d",
-    "reorder",
     "search_kd_partition",
     "verify_equitable_list_coloring",
     "verify_kd_partition",

@@ -24,9 +24,9 @@ from .coloring import (
     verify_equitable_list_coloring,
 )
 from .errors import InputError, InvariantError, ParseError
-from .generators import NamedGraph, gen_basic, gen_example2, gen_gq, gen_planted_partition
+from .generators import gen_basic, gen_example2, gen_gq, gen_planted_partition
 from .graph import degeneracy
-from .grids import GridSpec, make_grid, partition3d
+from .grids import make_grid, partition3d
 from .partition import SearchStatus, search_kd_partition, verify_kd_partition
 
 
@@ -51,6 +51,28 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _given(path: str | None, embedded, parse, missing: str):
+    """The document at path when its flag is given, else the embedded one."""
+    if path:
+        return parse(_read(path))
+    if embedded is None:
+        raise InputError(missing)
+    return embedded
+
+
+def _verdict(out: str, verdict, fields: tuple[str, ...]) -> int:
+    """Write the {"valid": ...} document; exit 0 if it holds, else 1."""
+    if verdict.valid:
+        _write(out, fileio.dump({"valid": True}))
+        return 0
+    violation = {field: getattr(verdict.violation, field) for field in fields}
+    _write(out, fileio.dump({"valid": False, "violation": violation}))
+    return 1
+
+
+_NO_PARTITION = "no partition given and none embedded in the graph document"
 
 
 def _dims(value: str) -> tuple[int, ...]:
@@ -107,30 +129,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_partition_verify(args: argparse.Namespace) -> int:
     doc = fileio.parse_graph_document(_read(args.graph))
-    if args.partition:
-        partition = fileio.parse_partition(_read(args.partition))
-    elif doc.partition is not None:
-        partition = doc.partition
-    else:
-        raise InputError("no partition given and none embedded in the graph document")
+    partition = _given(args.partition, doc.partition, fileio.parse_partition, _NO_PARTITION)
     verdict = verify_kd_partition(doc.graph, partition)
-    if verdict.valid:
-        _write(args.out, fileio.dump({"valid": True}))
-        return 0
-    v = verdict.violation
-    assert v is not None
-    payload = {
-        "valid": False,
-        "violation": {
-            "kind": v.kind,
-            "message": v.message,
-            "layer": v.layer,
-            "position": v.position,
-            "vertex": v.vertex,
-        },
-    }
-    _write(args.out, fileio.dump(payload))
-    return 1
+    return _verdict(args.out, verdict, ("kind", "message", "layer", "position", "vertex"))
 
 
 def _cmd_partition_grid3d(args: argparse.Namespace) -> int:
@@ -155,23 +156,15 @@ def _cmd_partition_search(args: argparse.Namespace) -> int:
 
 def _cmd_color(args: argparse.Namespace) -> int:
     doc = fileio.parse_graph_document(_read(args.graph))
-    if args.partition:
-        partition = fileio.parse_partition(_read(args.partition))
-    elif doc.partition is not None:
-        partition = doc.partition
-    else:
-        raise InputError("no partition given and none embedded in the graph document")
+    partition = _given(args.partition, doc.partition, fileio.parse_partition, _NO_PARTITION)
     rng = Random(args.seed)
     if args.uniform_lists is not None:
         t = args.uniform_lists
         palette = args.palette if args.palette is not None else 2 * t
         lists = ListAssignment.uniform_random(doc.graph.n, t, palette, rng)
-    elif args.lists:
-        lists = fileio.parse_lists(_read(args.lists))
-    elif doc.lists is not None:
-        lists = doc.lists
     else:
-        raise InputError("no lists given: pass --lists or --uniform-lists")
+        lists = _given(args.lists, doc.lists, fileio.parse_lists,
+                       "no lists given: pass --lists or --uniform-lists")
     if args.lists_out:
         _write(args.lists_out, fileio.dump(fileio.lists_to_obj(lists)))
     seed = rng.randrange(2**32) if args.tie_break == "seeded" else None
@@ -189,33 +182,14 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 def _cmd_verify_coloring(args: argparse.Namespace) -> int:
     doc = fileio.parse_graph_document(_read(args.graph))
-    if args.lists:
-        lists = fileio.parse_lists(_read(args.lists))
-    elif doc.lists is not None:
-        lists = doc.lists
-    else:
-        raise InputError("no lists given and none embedded in the graph document")
+    lists = _given(args.lists, doc.lists, fileio.parse_lists,
+                   "no lists given and none embedded in the graph document")
     coloring = fileio.parse_coloring(_read(args.coloring))
     t = args.t if args.t is not None else lists.t
     if t != lists.t:
         raise InputError(f"-t {t} contradicts the lists' uniform size {lists.t}")
     verdict = verify_equitable_list_coloring(doc.graph, lists, t, coloring, args.d)
-    if verdict.valid:
-        _write(args.out, fileio.dump({"valid": True}))
-        return 0
-    v = verdict.violation
-    assert v is not None
-    payload = {
-        "valid": False,
-        "violation": {
-            "clause": v.clause,
-            "message": v.message,
-            "vertex": v.vertex,
-            "color": v.color,
-        },
-    }
-    _write(args.out, fileio.dump(payload))
-    return 1
+    return _verdict(args.out, verdict, ("clause", "message", "vertex", "color"))
 
 
 def _cmd_degeneracy(args: argparse.Namespace) -> int:

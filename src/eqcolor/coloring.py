@@ -12,12 +12,12 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import countOf
 from random import Random
 
 from .errors import InputError, InvariantError
-from .graph import Graph, induced_subgraph, is_d_degenerate
+from .graph import Graph
 from .partition import KdPartition, verify_kd_partition
 
 
@@ -159,13 +159,6 @@ class ListAssignment:
 class Coloring:
     colors: dict[int, int]
 
-    def color_classes(self) -> dict[int, list[int]]:
-        """Colour to sorted member vertices."""
-        out: dict[int, list[int]] = {}
-        for v in sorted(self.colors):
-            out.setdefault(self.colors[v], []).append(v)
-        return out
-
 
 @dataclass
 class ColoringViolation:
@@ -234,29 +227,6 @@ class AlgorithmState:
         self.debug = debug
 
 
-def build_order(p: KdPartition) -> list[int]:
-    """Flat processing order: each layer reversed, layers first to last."""
-    out: list[int] = []
-    for layer in p.layers:
-        out.extend(reversed(layer))
-    return out
-
-
-def colour_vertex(state: AlgorithmState, v: int) -> int:
-    """Colour v from its current list and prune neighbouring lists.
-
-    This is colour_list's step on v alone: it picks the smallest available
-    colour (or a seeded-uniform one when the state carries an rng), and
-    each uncoloured neighbour w still holding that colour c counts a hit
-    and loses c once d neighbours wear it. Other hits are not counted:
-    they could never prune, and the debug degeneracy check reads
-    counts[v][c] only for a c that v's list held all along, every hit on
-    which was counted.
-    """
-    colour_list(state, [v], 1)
-    return state.colors[v]
-
-
 def colour_list(
     state: AlgorithmState,
     vertices: list[int],
@@ -269,8 +239,14 @@ def colour_list(
     block has already used, which forces pairwise distinct colours. The
     optional min_size callback is a debug hook: given the 1-based position
     inside a block it returns the smallest list size the theory
-    guarantees at that point. Each vertex is coloured as colour_vertex
-    describes.
+    guarantees at that point.
+
+    Each vertex v takes the smallest colour c left in its list (or a
+    seeded-uniform one when the state carries an rng), and each
+    uncoloured neighbour w still holding c counts a hit and loses c once
+    d neighbours wear it. Other hits are not counted: they could never
+    prune, and the debug degeneracy check reads counts[v][c] only for a c
+    that v's list held all along, every hit on which was counted.
     """
     if not vertices:
         return
@@ -460,7 +436,7 @@ def equitable_coloring(
         raise InputError(f"unknown tie_break {tie_break!r}")
 
     c = compute_counters(g.n, t, p.k)
-    order = build_order(p)
+    order = list(chain.from_iterable(map(reversed, p.layers)))  # each layer reversed
     state = AlgorithmState(g, lists, p.k, p.d, rng=rng, debug=debug)
     if trace is not None:
         trace.counters = c
@@ -563,48 +539,3 @@ def verify_equitable_list_coloring(
             ),
         )
     return ColoringVerdict(True)
-
-
-def brute_force_equitable_coloring(
-    g: Graph, lists: ListAssignment, t: int, d: int
-) -> Coloring | None:
-    """Exhaustive oracle for small graphs (intended for n <= 10).
-
-    Tries colours vertex by vertex in list order, pruning on the class
-    size cap and on class degeneracy (hereditary, so pruning is sound).
-    Returns the first valid colouring in lexicographic assignment order,
-    or None when no assignment from the lists works.
-    """
-    if t < 1 or d < 1:
-        raise InputError("t and d must be positive")
-    n = g.n
-    if n == 0:
-        return Coloring({})
-    for v in range(n):
-        if v not in lists:
-            raise InputError(f"list assignment misses vertex {v}")
-    cap = math.ceil(n / t)
-    colors: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-
-    def dfs(v: int) -> bool:
-        if v == n:
-            return True
-        for c in lists[v]:
-            group = members.get(c, [])
-            if len(group) >= cap:
-                continue
-            sub, _ = induced_subgraph(g, group + [v])
-            if not is_d_degenerate(sub, d - 1):
-                continue
-            colors[v] = c
-            members.setdefault(c, []).append(v)
-            if dfs(v + 1):
-                return True
-            members[c].pop()
-            del colors[v]
-        return False
-
-    if dfs(0):
-        return Coloring(dict(colors))
-    return None

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 from .coloring import Coloring, ListAssignment
-from .errors import EqcolorError, InputError, ParseError
+from .errors import EqcolorError, ParseError
 from .graph import Graph
 from .partition import KdPartition
 
@@ -39,7 +39,8 @@ def _as_int(value: Any, what: str) -> int:
 
 def _exact_ints(values: Any, n: int | None = None) -> bool:
     """Every value is exactly an int (not a bool) and, given n, in 0..n-1. A block
-    that fails takes its per-item loop, so its first bad item keeps its message."""
+    that fails takes its per-item loop, which raises at the first bad item with
+    that item's message; on json.loads output that loop always finds one."""
     ints = set(map(type, values)) <= {int}
     return ints and (n is None or min(values, default=0) >= 0 and max(values, default=-1) < n)
 
@@ -76,16 +77,14 @@ def _graph_from_obj(doc: dict[str, Any]) -> Graph:
     edges_obj = doc["edges"]
     if not isinstance(edges_obj, list):
         raise ParseError("'edges' must be a list of pairs")
-    if _int_rows(edges_obj) and set(map(len, edges_obj)) <= {2}:
-        edges = edges_obj
-    else:
-        edges = []
+    if not (_int_rows(edges_obj) and set(map(len, edges_obj)) <= {2}):
         for item in edges_obj:
             if not isinstance(item, list) or len(item) != 2:
                 raise ParseError(f"edge {item!r} is not a pair")
-            edges.append((_as_int(item[0], "edge endpoint"), _as_int(item[1], "edge endpoint")))
+            for end in item:
+                _as_int(end, "edge endpoint")
     try:
-        return Graph(n, edges)
+        return Graph(n, edges_obj)
     except EqcolorError as exc:
         raise ParseError(f"graph document rejected: {exc}") from exc
 
@@ -146,14 +145,12 @@ def parse_graph_document(text: str) -> GraphDocument:
         names_obj = doc["names"]
         if not isinstance(names_obj, dict):
             raise ParseError("'names' must be an object")
-        names = names_obj if _exact_ints(names_obj.values(), graph.n) else None
-        if names is None:
-            names = {}
+        if not _exact_ints(names_obj.values(), graph.n):
             for label, vid in names_obj.items():
                 v = _as_int(vid, f"name {label!r}")
                 if not 0 <= v < graph.n:
                     raise ParseError(f"name {label!r} points at missing vertex {v}")
-                names[str(label)] = v
+        names = names_obj
     partition = None
     if "partition" in doc:
         partition = _partition_from_obj(doc["partition"], graph.n)
@@ -174,13 +171,10 @@ def _partition_from_obj(obj: Any, n: int | None = None) -> KdPartition:
     layers_obj = obj["layers"]
     if not isinstance(layers_obj, list):
         raise ParseError("'layers' must be a list")
-    layers = layers_obj if _int_rows(layers_obj, n) else None
-    if layers is None:
-        layers = []
+    if not _int_rows(layers_obj, n):
         for idx, layer in enumerate(layers_obj, start=1):
             if not isinstance(layer, list):
                 raise ParseError(f"layer {idx} is not a list", context={"layer": idx})
-            members = []
             for item in layer:
                 v = _as_int(item, f"vertex in layer {idx}")
                 if n is not None and not 0 <= v < n:
@@ -188,10 +182,8 @@ def _partition_from_obj(obj: Any, n: int | None = None) -> KdPartition:
                         f"layer {idx} references missing vertex {v}",
                         context={"layer": idx, "vertex": v},
                     )
-                members.append(v)
-            layers.append(members)
     try:
-        return KdPartition(k=k, d=d, layers=layers)
+        return KdPartition(k=k, d=d, layers=layers_obj)
     except EqcolorError as exc:
         raise ParseError(f"partition document rejected: {exc}") from exc
 

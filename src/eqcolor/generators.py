@@ -29,12 +29,6 @@ class NamedGraph:
         except KeyError:
             raise InputError(f"unknown vertex label {label!r}") from None
 
-    def label_of(self, vid: int) -> str:
-        for label, v in self.names.items():
-            if v == vid:
-                return label
-        raise InputError(f"vertex {vid} has no label")
-
 
 def _checked(ng: NamedGraph) -> NamedGraph:
     if ng.partition is not None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate
-from random import Random
 
 from .errors import InputError
 
@@ -93,12 +92,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return Graph(len(keep), edges), keep
 
 
-def is_d_degenerate(g: Graph, d: int, *, rng: Random | None = None) -> bool:
+def is_d_degenerate(g: Graph, d: int) -> bool:
     """True iff repeatedly peeling vertices of degree at most d empties g.
 
-    The answer does not depend on which eligible vertex is peeled first;
-    passing an rng only shuffles that choice (used by the test suite to
-    exercise order independence).
+    The answer does not depend on which eligible vertex is peeled first.
     """
     if d < 0:
         raise InputError(f"degeneracy bound must be non-negative, got {d}")
@@ -107,14 +104,7 @@ def is_d_degenerate(g: Graph, d: int, *, rng: Random | None = None) -> bool:
     stack = [v for v in range(g.n) if deg[v] <= d]
     count = 0
     while stack:
-        if rng is None:
-            v = stack.pop()
-        else:
-            i = rng.randrange(len(stack))
-            stack[i], stack[-1] = stack[-1], stack[i]
-            v = stack.pop()
-        if removed[v]:
-            continue
+        v = stack.pop()  # each vertex is pushed once: its degree only falls
         removed[v] = True
         count += 1
         for w in g.neighbors(v):
@@ -157,6 +147,3 @@ def degeneracy(g: Graph) -> int:
                 deg[w] = dw - 1
     return best
 
-
-def max_degree(g: Graph) -> int:
-    return max((len(a) for a in g._adj), default=0)

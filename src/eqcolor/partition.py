@@ -46,9 +46,6 @@ class KdPartition:
     def eta(self) -> int:
         return len(self.layers) - 1
 
-    def vertex_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
 
 @dataclass
 class PartitionViolation:

@@ -15,7 +15,9 @@ from eqcolor import (
     ColoringVerdict,
     ColoringViolation,
     Graph,
+    InputError,
     KdPartition,
+    ListAssignment,
     is_d_degenerate,
     verify_kd_partition,
 )
@@ -166,6 +168,14 @@ def first_back_degree_violation(
     return None
 
 
+def colour_classes(coloring: Coloring) -> dict[int, list[int]]:
+    """Colour to its member vertices, ascending."""
+    classes: dict[int, list[int]] = {}
+    for v in sorted(coloring.colors):
+        classes.setdefault(coloring.colors[v], []).append(v)
+    return classes
+
+
 def verify_coloring_by_subsets(g, lists, t, coloring: Coloring, d: int) -> ColoringVerdict:
     """Same clauses as the package verifier, degeneracy done by subsets."""
     colors = coloring.colors
@@ -178,9 +188,7 @@ def verify_coloring_by_subsets(g, lists, t, coloring: Coloring, d: int) -> Color
         if v not in lists or colors[v] not in lists[v]:
             return ColoringVerdict(False, None)
     cap = math.ceil(g.n / t)
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colors[v], []).append(v)
+    classes = colour_classes(coloring)
     for members in classes.values():
         if len(members) > cap:
             return ColoringVerdict(False, None)
@@ -230,9 +238,7 @@ def verify_coloring_by_classes(g, lists, t, coloring: Coloring, d: int) -> Color
                 ),
             )
     cap = math.ceil(g.n / t)
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colors[v], []).append(v)
+    classes = colour_classes(coloring)
     for colour in sorted(classes):
         members = classes[colour]
         if len(members) > cap:
@@ -256,3 +262,48 @@ def verify_coloring_by_classes(g, lists, t, coloring: Coloring, d: int) -> Color
                 ),
             )
     return ColoringVerdict(True)
+
+
+def brute_force_equitable_coloring(
+    g: Graph, lists: ListAssignment, t: int, d: int
+) -> Coloring | None:
+    """Exhaustive oracle for small graphs (intended for n <= 10).
+
+    Tries colours vertex by vertex in list order, pruning on the class
+    size cap and on class degeneracy (hereditary, so pruning is sound).
+    Returns the first valid colouring in lexicographic assignment order,
+    or None when no assignment from the lists works.
+    """
+    if t < 1 or d < 1:
+        raise InputError("t and d must be positive")
+    n = g.n
+    if n == 0:
+        return Coloring({})
+    for v in range(n):
+        if v not in lists:
+            raise InputError(f"list assignment misses vertex {v}")
+    cap = math.ceil(n / t)
+    colors: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+
+    def dfs(v: int) -> bool:
+        if v == n:
+            return True
+        for c in lists[v]:
+            group = members.get(c, [])
+            if len(group) >= cap:
+                continue
+            sub, _ = induced_subgraph(g, group + [v])
+            if not is_d_degenerate(sub, d - 1):
+                continue
+            colors[v] = c
+            members.setdefault(c, []).append(v)
+            if dfs(v + 1):
+                return True
+            members[c].pop()
+            del colors[v]
+        return False
+
+    if dfs(0):
+        return Coloring(dict(colors))
+    return None

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqcolor import (
-    AlgorithmState,
     Coloring,
     Graph,
     InputError,
@@ -20,23 +19,24 @@ from eqcolor import (
     KdPartition,
     ListAssignment,
     RunTrace,
-    build_order,
-    colour_vertex,
     compute_counters,
     equitable_coloring,
     gen_example2,
     gen_planted_partition,
     is_d_degenerate,
     make_grid,
-    modify_colour_lists,
     partition3d,
-    reorder,
     verify_equitable_list_coloring,
     verify_kd_partition,
 )
-from eqcolor.coloring import brute_force_equitable_coloring
+from eqcolor.coloring import AlgorithmState, colour_list, modify_colour_lists, reorder
 from eqcolor.graph import induced_subgraph
-from oracles import verify_coloring_by_classes, verify_coloring_by_subsets
+from oracles import (
+    brute_force_equitable_coloring,
+    colour_classes,
+    verify_coloring_by_classes,
+    verify_coloring_by_subsets,
+)
 
 
 def path(n):
@@ -180,52 +180,54 @@ class TestColourVertex:
 
     def test_picks_smallest_colour(self):
         state = self.make_state(Graph(1), {0: [4, 2, 9]})
-        assert colour_vertex(state, 0) == 2
+        colour_list(state, [0], 1)
         assert state.colors == {0: 2}
 
     def test_neighbour_list_pruned_at_threshold(self):
         g = path(3)
         state = self.make_state(g, {0: [1, 2], 1: [1, 2], 2: [1, 2]}, d=2)
-        colour_vertex(state, 0)  # colour 1
+        colour_list(state, [0], 1)  # colour 1
         assert state.lists[1] == {1, 2}  # one neighbour coloured 1, d=2 not reached
         state.lists[2].discard(2)
-        colour_vertex(state, 2)  # also colour 1
+        colour_list(state, [2], 1)  # also colour 1
         assert state.lists[1] == {2}  # second hit crosses d
 
     def test_already_coloured_neighbour_keeps_its_colour(self):
         g = Graph(2, [(0, 1)])
         state = self.make_state(g, {0: [1], 1: [1]}, d=1)
-        colour_vertex(state, 0)
+        colour_list(state, [0], 1)
         # vertex 1 is uncoloured, crossing d=1 empties its singleton list
         with pytest.raises(InvariantError) as exc:
-            colour_vertex(state, 1)
+            colour_list(state, [1], 1)
         assert exc.value.context["vertex"] == 1
         assert exc.value.context["n"] == 2
 
     def test_debug_rejects_colour_worn_by_d_neighbours(self):
         g = Graph(2, [(0, 1)])
         state = self.make_state(g, {0: [1, 2], 1: [1, 2]}, d=1, debug=True)
-        assert colour_vertex(state, 0) == 1
+        colour_list(state, [0], 1)
+        assert state.colors == {0: 1}
         assert state.lists[1] == {2}
         state.lists[1].add(1)  # undo the prune, so vertex 1 would join class 1
         with pytest.raises(InvariantError) as exc:
-            colour_vertex(state, 1)
+            colour_list(state, [1], 1)
         assert exc.value.context["vertex"] == 1
         assert exc.value.context["color"] == 1
         assert 1 not in state.colors
 
     def test_double_colouring_rejected(self):
         state = self.make_state(Graph(1), {0: [1]})
-        colour_vertex(state, 0)
+        colour_list(state, [0], 1)
         with pytest.raises(InputError):
-            colour_vertex(state, 0)
+            colour_list(state, [0], 1)
 
     def test_seeded_choice_stays_inside_list(self):
         for seed in range(10):
             state = self.make_state(
                 Graph(1), {0: [3, 5, 8]}, rng=random.Random(seed)
             )
-            assert colour_vertex(state, 0) in (3, 5, 8)
+            colour_list(state, [0], 1)
+            assert state.colors[0] in (3, 5, 8)
 
 
 class TestReorder:
@@ -440,7 +442,7 @@ class TestShowcaseRun:
 
     def test_class_sizes_respect_cap(self, run):
         _, _, coloring = run
-        sizes = sorted(len(m) for m in coloring.color_classes().values())
+        sizes = sorted(map(len, colour_classes(coloring).values()))
         assert max(sizes) <= math.ceil(20 / 3)
 
 
@@ -741,7 +743,7 @@ class TestVerifier:
             assert fast.valid == verify_coloring_by_subsets(g, lists, t, coloring, d).valid
             clauses[None if fast.valid else fast.violation.clause] += 1
             if not fast.valid and fast.violation.clause == "degeneracy":
-                members = coloring.color_classes()
+                members = colour_classes(coloring)
                 failing = [
                     c for c, vs in members.items()
                     if not is_d_degenerate(induced_subgraph(g, vs)[0], d - 1)
@@ -796,11 +798,6 @@ class TestBruteForce:
     def test_empty_graph(self):
         found = brute_force_equitable_coloring(Graph(0), ListAssignment(1, {}), 1, 1)
         assert found is not None and found.colors == {}
-
-
-def test_build_order_reverses_each_layer():
-    p = KdPartition(2, 1, [[4], [0, 1], [2, 3]])
-    assert build_order(p) == [4, 1, 0, 3, 2]
 
 
 # SHA-256 of _pinned_runs(), recorded on the reference implementation.

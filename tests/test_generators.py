@@ -15,7 +15,6 @@ from eqcolor import (
     search_kd_partition,
     verify_kd_partition,
 )
-from eqcolor.graph import max_degree
 
 
 class TestCliqueChain:
@@ -24,7 +23,7 @@ class TestCliqueChain:
         g = bundle.graph
         assert g.n == 18
         assert g.edge_count() == 75
-        assert max_degree(g) == 12
+        assert max(g.degree(v) for v in range(g.n)) == 12
         assert min(g.degree(v) for v in range(g.n)) == 5
         assert g.degree(bundle.id_of("v_6^2")) == 12
 
@@ -99,19 +98,20 @@ class TestShowcaseGraph:
         p = bundle.partition
         assert p.k == 2 and p.d == 3
         assert verify_kd_partition(bundle.graph, p).valid
+        label = {v: name for name, v in bundle.names.items()}
         for layer in p.layers:
             w, v = layer
-            assert bundle.label_of(w).startswith("w")
-            assert bundle.label_of(v).startswith("v")
+            assert label[w].startswith("w")
+            assert label[v].startswith("v")
             assert bundle.graph.adjacent(w, v)
 
     def test_label_lookups(self):
         bundle = gen_example2()
-        assert bundle.label_of(bundle.id_of("w_4^2")) == "w_4^2"
+        assert sorted(bundle.names.values()) == list(range(bundle.graph.n))  # one name per vertex
+        label = {v: name for name, v in bundle.names.items()}
+        assert label[bundle.id_of("w_4^2")] == "w_4^2"
         with pytest.raises(InputError):
             bundle.id_of("v_9^9")
-        with pytest.raises(InputError):
-            bundle.label_of(99)
 
 
 class TestBasicGraphs:

@@ -10,7 +10,7 @@ from eqcolor import (
     degeneracy,
     is_d_degenerate,
 )
-from eqcolor.graph import induced_subgraph, max_degree
+from eqcolor.graph import induced_subgraph
 from oracles import degeneracy_by_subsets
 
 
@@ -158,20 +158,3 @@ class TestDegeneracy:
             dg = degeneracy(g)
             assert is_d_degenerate(g, dg)
             assert dg == 0 or not is_d_degenerate(g, dg - 1)
-
-    def test_peel_order_immaterial(self):
-        # randomized peeling order must not change the verdict
-        rng = Random(13)
-        for _ in range(60):
-            n = rng.randint(2, 10)
-            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
-            g = Graph(n, edges)
-            d = rng.randint(0, 3)
-            baseline = is_d_degenerate(g, d)
-            for _ in range(5):
-                assert is_d_degenerate(g, d, rng=rng) == baseline
-
-    def test_max_degree(self):
-        assert max_degree(Graph(1, [])) == 0
-        assert max_degree(path(5)) == 2
-        assert max_degree(complete(4)) == 3

@@ -1,0 +1,111 @@
+"""The package's public surface and the bench tracer's hold on its internals."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+import time
+from pathlib import Path
+from random import Random
+
+import eqcolor
+import eqcolor.cli  # noqa: F401  (the tracer also wraps the command line)
+from eqcolor import ListAssignment, make_grid, partition3d
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+PUBLIC = [
+    "Coloring",
+    "ColoringVerdict",
+    "ColoringViolation",
+    "Counters",
+    "EqcolorError",
+    "Graph",
+    "GridSpec",
+    "InputError",
+    "InvariantError",
+    "KdPartition",
+    "ListAssignment",
+    "NamedGraph",
+    "ParseError",
+    "PartitionVerdict",
+    "PartitionViolation",
+    "RunTrace",
+    "SearchResult",
+    "SearchStatus",
+    "compute_counters",
+    "degeneracy",
+    "enumerate_last_layers",
+    "equitable_coloring",
+    "gen_basic",
+    "gen_example2",
+    "gen_gq",
+    "gen_planted_partition",
+    "greedy_kd_partition",
+    "is_d_degenerate",
+    "make_grid",
+    "partition3d",
+    "search_kd_partition",
+    "verify_equitable_list_coloring",
+    "verify_kd_partition",
+]
+
+
+def test_root_exports_only_the_pipeline():
+    assert eqcolor.__all__ == PUBLIC
+    assert all(hasattr(eqcolor, name) for name in PUBLIC)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def eqcolor_bindings():
+    """Every eqcolor module attribute, plus the two class attributes the tracer swaps."""
+    out = {
+        (name, attr): value
+        for name, module in sys.modules.items()
+        if name == "eqcolor" or name.startswith("eqcolor.")
+        for attr, value in vars(module).items()
+    }
+    out["Graph", "__init__"] = eqcolor.Graph.__dict__["__init__"]
+    out["ListAssignment", "uniform_random"] = ListAssignment.__dict__["uniform_random"]
+    return out
+
+
+def test_bench_tracer_installs_and_restores():
+    tracing = load_tracer()
+    g, _ = make_grid((2, 3, 4))
+    p = partition3d((2, 3, 4))
+    lists = ListAssignment.uniform_random(g.n, 3, 6, Random(1))
+    before = eqcolor_bindings()
+    tracer = tracing.Tracer(time.perf_counter_ns)
+    tracer.install()
+    try:
+        during = eqcolor_bindings()
+        for modname, attr, _ in tracing.PLAIN:
+            assert during[modname, attr] is not before[modname, attr], attr
+        for attr in ("equitable_coloring", "colour_list", "reorder"):
+            assert during["eqcolor.coloring", attr] is not before["eqcolor.coloring", attr], attr
+        # The phases are told apart by the colour_list calls around reorder.
+        eqcolor.equitable_coloring(g, p, lists)
+        spans, _ = tracer.take()
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in spans if span[0].startswith("coloring.")]
+    assert names == [
+        "coloring.equitable_coloring",
+        tracing.FIRST,
+        tracing.X_RHO,
+        tracing.X_RHO,
+        "coloring.reorder",
+        "coloring.modify_colour_lists",
+        tracing.GAMMA_K,
+    ]
+    after = eqcolor_bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []

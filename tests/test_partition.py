@@ -48,7 +48,7 @@ class TestKdPartition:
     def test_shape(self):
         p = KdPartition(2, 1, [[0], [1, 2], [3, 4]])
         assert p.eta == 2
-        assert p.vertex_count() == 5
+        assert sum(map(len, p.layers)) == 5
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(InputError):
