@@ -5,9 +5,9 @@ equitable list colouring, verify colourings, and compute degeneracy.
 Documents travel as JSON on files or stdin/stdout ("-"), with at most one
 document read from stdin and at most one written to stdout per call (a
 missing --out means stdout); errors leave as {"code", "message",
-"context"} objects with exit code 2 (bad input or exhausted budget) or 3
-(parse failure). Exit 1 means a verifier said no or a search proved
-absence.
+"context"} objects with exit code 2 (bad input, or an exhausted budget
+or memory) or 3 (parse failure). Exit 1 means a verifier said no or a
+search proved absence.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .coloring import (
     verify_equitable_list_coloring,
 )
 from .errors import InputError, InvariantError, ParseError
-from .generators import gen_basic, gen_example2, gen_gq, gen_planted_partition
+from .generators import NamedGraph, gen_basic, gen_example2, gen_gq, gen_planted_partition
 from .graph import degeneracy
 from .grids import make_grid, partition3d
 from .partition import SearchStatus, search_kd_partition, verify_kd_partition
@@ -85,45 +85,34 @@ def _dims(value: str) -> tuple[int, ...]:
     return dims
 
 
-def _emit_graph(args: argparse.Namespace, doc: fileio.GraphDocument) -> None:
-    _write(args.out, fileio.dump(fileio.graph_to_obj(doc)))
-    if getattr(args, "partition_out", None):
-        if doc.partition is None:
-            raise InputError("this generator bundles no partition")
-        _write(args.partition_out, fileio.dump(fileio.partition_to_obj(doc.partition)))
-    if getattr(args, "lists_out", None):
-        if doc.lists is None:
-            raise InputError("this generator bundles no lists")
-        _write(args.lists_out, fileio.dump(fileio.lists_to_obj(doc.lists)))
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "grid":
         if args.dims is None:
             raise InputError("gen grid requires --dims")
         graph, spec = make_grid(args.dims)
-        names = dict(zip(spec.labels(), range(graph.n)))
-        doc = fileio.GraphDocument(graph, names=names)
+        doc = NamedGraph(graph, dict(zip(spec.labels(), range(graph.n))))
     elif kind == "gq":
-        ng = gen_gq(args.q)
-        doc = fileio.GraphDocument(ng.graph, names=ng.names, partition=ng.partition)
+        doc = gen_gq(args.q)
     elif kind == "example2":
-        ng = gen_example2()
-        doc = fileio.GraphDocument(
-            ng.graph, names=ng.names, partition=ng.partition, lists=ng.lists
-        )
+        doc = gen_example2()
     elif kind == "planted":
         if args.n is None or args.k is None or args.d is None:
             raise InputError("gen planted requires -n, -k, and -d")
-        ng = gen_planted_partition(args.n, args.k, args.d, seed=args.seed)
-        doc = fileio.GraphDocument(ng.graph, names=ng.names, partition=ng.partition)
+        doc = gen_planted_partition(args.n, args.k, args.d, seed=args.seed)
     else:
         if args.n is None:
             raise InputError(f"gen {kind} requires -n")
-        ng = gen_basic(kind, n=args.n, p=args.p, seed=args.seed)
-        doc = fileio.GraphDocument(ng.graph, names=ng.names)
-    _emit_graph(args, doc)
+        doc = gen_basic(kind, n=args.n, p=args.p, seed=args.seed)
+    _write(args.out, fileio.dump(fileio.graph_to_obj(doc)))
+    if args.partition_out:
+        if doc.partition is None:
+            raise InputError("this generator bundles no partition")
+        _write(args.partition_out, fileio.dump(fileio.partition_to_obj(doc.partition)))
+    if args.lists_out:
+        if doc.lists is None:
+            raise InputError("this generator bundles no lists")
+        _write(args.lists_out, fileio.dump(fileio.lists_to_obj(doc.lists)))
     return 0
 
 
@@ -310,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvariantError as exc:
         sys.stdout.write(_error_payload("invariant-error", exc))
+        return 2
+    except MemoryError:
+        sys.stdout.write(_error_payload("input-error", InputError("out of memory for this input")))
         return 2
     finally:
         if collecting:

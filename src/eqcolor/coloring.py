@@ -195,7 +195,8 @@ class AlgorithmState:
     while it can prune: counts[w][c] grows only while w is uncoloured and
     c is still in w's list. Lists only shrink, so a colour that has left
     a list never returns and its later hits cannot matter, and a coloured
-    vertex's counts are never read again.
+    vertex's counts are never read again. k and d come from a partition
+    that verify_kd_partition passed, so both are positive.
     """
 
     def __init__(
@@ -208,8 +209,6 @@ class AlgorithmState:
         rng: Random | None = None,
         debug: bool = False,
     ) -> None:
-        if k < 1 or d < 1:
-            raise InputError("k and d must be positive")
         n = graph.n
         given = lists._lists
         try:  # map runs in vertex order: a KeyError names the smallest missing vertex
@@ -446,7 +445,7 @@ def equitable_coloring(
     x_end = c.r2 + c.x
     s_end = x_end + c.rho * k
     colour_list(state, order[: c.r2], c.r2, min_size=lambda i: t - (i - 1))
-    colour_list(state, order[c.r2 : x_end], c.x or 1, min_size=lambda i: t - k + 1)
+    colour_list(state, order[c.r2 : x_end], c.x, min_size=lambda i: t - k + 1)
     colour_list(state, order[x_end:s_end], k, min_size=lambda i: t - k + 1)
     s_col = order[c.r2 : s_end]
     if trace is not None:
@@ -464,7 +463,7 @@ def equitable_coloring(
     colour_list(state, rest, gk, min_size=lambda i: t - c.r - k - ((i - 1) // k) * k + 1)
     if debug:
         _check_decomposition(state, c, order[: c.r2], s_col, rest)
-    return Coloring(dict(state.colors))
+    return Coloring(state.colors)
 
 
 def verify_equitable_list_coloring(

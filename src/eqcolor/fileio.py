@@ -12,23 +12,15 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 from .coloring import Coloring, ListAssignment
 from .errors import EqcolorError, ParseError
+from .generators import NamedGraph
 from .graph import Graph
 from .partition import KdPartition
-
-
-@dataclass
-class GraphDocument:
-    graph: Graph
-    names: dict[str, int] | None = None
-    partition: KdPartition | None = None
-    lists: ListAssignment | None = None
 
 
 def _as_int(value: Any, what: str) -> int:
@@ -132,12 +124,15 @@ def _parse_dimacs(text: str) -> Graph:
         raise ParseError(f"edge list rejected: {exc}") from exc
 
 
-def parse_graph_document(text: str) -> GraphDocument:
-    """Parse canonical JSON or DIMACS-style text into a GraphDocument."""
+def parse_graph_document(text: str) -> NamedGraph:
+    """Parse canonical JSON or DIMACS-style text into a NamedGraph.
+
+    Blocks the document does not carry are None; DIMACS carries only the graph.
+    """
     if not text.strip():
         raise ParseError("empty graph document")
     if not text.lstrip().startswith("{"):
-        return GraphDocument(_parse_dimacs(text))
+        return NamedGraph(_parse_dimacs(text))
     doc = _load_json(text, "graph document")
     graph = _graph_from_obj(doc)
     names = None
@@ -157,7 +152,7 @@ def parse_graph_document(text: str) -> GraphDocument:
     lists = None
     if "lists" in doc:
         lists = _lists_from_obj(doc["lists"])
-    return GraphDocument(graph, names=names, partition=partition, lists=lists)
+    return NamedGraph(graph, names, partition, lists)
 
 
 def _partition_from_obj(obj: Any, n: int | None = None) -> KdPartition:
@@ -253,7 +248,7 @@ def parse_coloring(text: str) -> Coloring:
     return Coloring(colors)
 
 
-def graph_to_obj(doc: GraphDocument) -> dict[str, Any]:
+def graph_to_obj(doc: NamedGraph) -> dict[str, Any]:
     obj: dict[str, Any] = {"n": doc.graph.n, "edges": [[u, v] for u, v in doc.graph.edges()]}
     if doc.names is not None:
         obj["names"] = dict(sorted(doc.names.items(), key=lambda kv: kv[1]))

@@ -2,12 +2,13 @@
 
 Each generator returns a NamedGraph: the graph itself, a label map, and,
 when the construction defines them, a bundled layer partition and colour
-lists that are re-verified at build time.
+lists; a bundled partition is re-verified at build time. NamedGraph is
+also the graph document that fileio parses and writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .coloring import ListAssignment
@@ -18,16 +19,17 @@ from .partition import KdPartition, verify_kd_partition
 
 @dataclass
 class NamedGraph:
+    """A graph with optional vertex labels, layer partition and colour lists."""
+
     graph: Graph
-    names: dict[str, int] = field(default_factory=dict)
+    names: dict[str, int] | None = None
     partition: KdPartition | None = None
     lists: ListAssignment | None = None
 
     def id_of(self, label: str) -> int:
-        try:
-            return self.names[label]
-        except KeyError:
-            raise InputError(f"unknown vertex label {label!r}") from None
+        if self.names is None or label not in self.names:
+            raise InputError(f"unknown vertex label {label!r}")
+        return self.names[label]
 
 
 def _checked(ng: NamedGraph) -> NamedGraph:

@@ -93,26 +93,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 
 def is_d_degenerate(g: Graph, d: int) -> bool:
-    """True iff repeatedly peeling vertices of degree at most d empties g.
-
-    The answer does not depend on which eligible vertex is peeled first.
-    """
+    """True iff every subgraph of g has a vertex of degree at most d."""
     if d < 0:
         raise InputError(f"degeneracy bound must be non-negative, got {d}")
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    stack = [v for v in range(g.n) if deg[v] <= d]
-    count = 0
-    while stack:
-        v = stack.pop()  # each vertex is pushed once: its degree only falls
-        removed[v] = True
-        count += 1
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                if deg[w] == d:
-                    stack.append(w)
-    return count == g.n
+    return degeneracy(g) <= d
 
 
 def degeneracy(g: Graph) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -76,6 +76,8 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
     attached to the verdict. A pass stamps p (see KdPartition).
     """
     k, d = p.k, p.d
+    if k < 1 or d < 1:  # fields may be reassigned after construction
+        return _structure(f"k and d must be positive, got k={k}, d={d}")
     n = g.n
     expected_layers = math.ceil(n / k) if n else 0
     if len(p.layers) != expected_layers:
@@ -138,16 +140,6 @@ def _certified(ext: list[tuple[int, int]], d: int) -> list[int] | None:
         if e > d * i - 1:
             return None
     return [v for _, v in ext]
-
-
-def layer_ordering_exists(ext_degrees: Iterable[int], k: int, d: int) -> list[int] | None:
-    """Ascending order of the degrees if they fit a layer, else None."""
-    if k < 1 or d < 1:
-        raise InputError("k and d must be positive")
-    vals = list(ext_degrees)
-    if len(vals) != k:
-        raise InputError(f"expected {k} degrees, got {len(vals)}")
-    return _certified([(e, e) for e in vals], d)
 
 
 class SearchStatus(Enum):

@@ -18,7 +18,6 @@ from eqcolor import (
     InputError,
     KdPartition,
     ListAssignment,
-    is_d_degenerate,
     verify_kd_partition,
 )
 from eqcolor.graph import induced_subgraph
@@ -47,6 +46,27 @@ def degenerate_by_subsets(g: Graph, d: int) -> bool:
         if not has_small:
             return False
     return True
+
+
+def degenerate_by_peeling(g: Graph, d: int) -> bool:
+    """d-degeneracy by peeling vertices of degree at most d until none is left.
+
+    The answer does not depend on which eligible vertex is peeled first.
+    """
+    deg = [g.degree(v) for v in range(g.n)]
+    removed = [False] * g.n
+    stack = [v for v in range(g.n) if deg[v] <= d]
+    count = 0
+    while stack:
+        v = stack.pop()  # each vertex is pushed once: its degree only falls
+        removed[v] = True
+        count += 1
+        for w in g.neighbors(v):
+            if not removed[w]:
+                deg[w] -= 1
+                if deg[w] == d:
+                    stack.append(w)
+    return count == g.n
 
 
 def degeneracy_by_subsets(g: Graph) -> int:
@@ -252,7 +272,7 @@ def verify_coloring_by_classes(g, lists, t, coloring: Coloring, d: int) -> Color
             )
     for colour in sorted(classes):
         sub, _ = induced_subgraph(g, classes[colour])
-        if not is_d_degenerate(sub, d - 1):
+        if not degenerate_by_peeling(sub, d - 1):
             return ColoringVerdict(
                 False,
                 ColoringViolation(
@@ -294,7 +314,7 @@ def brute_force_equitable_coloring(
             if len(group) >= cap:
                 continue
             sub, _ = induced_subgraph(g, group + [v])
-            if not is_d_degenerate(sub, d - 1):
+            if not degenerate_by_peeling(sub, d - 1):
                 continue
             colors[v] = c
             members.setdefault(c, []).append(v)

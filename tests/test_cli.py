@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcolor import equitable_coloring, gen_example2, verify_kd_partition
+import eqcolor
+from eqcolor import NamedGraph, equitable_coloring, gen_example2, verify_kd_partition
 from eqcolor.cli import main
 from eqcolor.fileio import (
-    GraphDocument,
     coloring_to_obj,
     dump,
     graph_to_obj,
@@ -436,6 +437,26 @@ class TestErrorChannel:
         assert code == 2
         assert json.loads(out)["code"] == "input-error"
 
+    def test_out_of_memory_exits_two(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        gpath = tmp_path / "g.json"
+        gpath.write_text('{"n": 100000000000, "edges": []}')
+        limit = 400 * 2**20
+
+        def cap_memory():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(eqcolor.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqcolor.cli", "degeneracy", "--graph", str(gpath)],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["code"] == "input-error"
+
     def test_unknown_command_exits_nonzero(self, run, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()
@@ -527,7 +548,7 @@ class TestCollectorPause:
 
 _EXAMPLE = gen_example2()
 _VALID = {
-    "graph": dump(graph_to_obj(GraphDocument(_EXAMPLE.graph))).encode(),
+    "graph": dump(graph_to_obj(NamedGraph(_EXAMPLE.graph))).encode(),
     "partition": dump(partition_to_obj(_EXAMPLE.partition)).encode(),
     "lists": dump(lists_to_obj(_EXAMPLE.lists)).encode(),
     "coloring": dump(

@@ -521,6 +521,13 @@ class TestPipelineBehaviour:
         with pytest.raises(InputError, match=f"^{message}$"):
             equitable_coloring(bundle.graph, bundle.partition, lists)
 
+    def test_degree_bound_zeroed_after_construction(self):
+        p = KdPartition(3, 1, [[0, 1, 2]])
+        p.d = 0
+        lists = ListAssignment(3, {v: [1, 2, 3] for v in range(3)})
+        with pytest.raises(InputError, match="^partition does not verify: "):
+            equitable_coloring(Graph(3), p, lists)
+
     def test_single_vertex_graph(self):
         g = Graph(1)
         p = KdPartition(1, 1, [[0]])

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from eqcolor import (
     Coloring,
     Graph,
+    InputError,
     KdPartition,
     ListAssignment,
+    NamedGraph,
     ParseError,
     gen_example2,
 )
 from eqcolor.cli import main
 from eqcolor.fileio import (
-    GraphDocument,
     coloring_to_obj,
     dump,
     graph_to_obj,
@@ -34,7 +35,7 @@ from eqcolor.fileio import (
 class TestJsonGraphDocuments:
     def test_minimal_roundtrip(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-        text = dump(graph_to_obj(GraphDocument(g)))
+        text = dump(graph_to_obj(NamedGraph(g)))
         doc = parse_graph_document(text)
         assert doc.graph == g
         assert doc.names is None
@@ -42,17 +43,21 @@ class TestJsonGraphDocuments:
 
     def test_full_document_roundtrip(self):
         bundle = gen_example2()
-        original = GraphDocument(
-            bundle.graph,
-            names=bundle.names,
-            partition=bundle.partition,
-            lists=bundle.lists,
-        )
-        doc = parse_graph_document(dump(graph_to_obj(original)))
+        doc = parse_graph_document(dump(graph_to_obj(bundle)))
         assert doc.graph == bundle.graph
         assert doc.names == bundle.names
         assert doc.partition == bundle.partition
         assert doc.lists == bundle.lists
+
+    def test_generated_labels_resolve_after_parsing(self, capsys):
+        assert main(["gen", "example2"]) == 0
+        doc = parse_graph_document(capsys.readouterr().out)
+        bundle = gen_example2()
+        assert doc == bundle
+        for label, vid in bundle.names.items():
+            assert doc.id_of(label) == vid
+        with pytest.raises(InputError):
+            doc.id_of("v_9^9")
 
     def test_missing_keys(self):
         with pytest.raises(ParseError):
@@ -108,6 +113,8 @@ class TestDimacs:
         assert doc.graph.edge_count() == 3
         assert doc.graph.adjacent(0, 1)
         assert doc.names is None
+        with pytest.raises(InputError):
+            doc.id_of("1")
 
     def test_duplicate_edges_collapse_despite_header(self):
         text = "p edge 2 3\ne 1 2\ne 2 1\ne 1 2\n"
@@ -148,7 +155,7 @@ class TestPartitionDocuments:
 
     def test_embedded_in_graph_document(self):
         bundle = gen_example2()
-        text = dump(graph_to_obj(GraphDocument(bundle.graph, partition=bundle.partition)))
+        text = dump(graph_to_obj(NamedGraph(bundle.graph, partition=bundle.partition)))
         assert parse_partition(text) == bundle.partition
         assert parse_graph_document(text).partition == bundle.partition
 
@@ -182,7 +189,7 @@ class TestListsDocuments:
 
     def test_embedded_in_graph_document(self):
         bundle = gen_example2()
-        text = dump(graph_to_obj(GraphDocument(bundle.graph, lists=bundle.lists)))
+        text = dump(graph_to_obj(NamedGraph(bundle.graph, lists=bundle.lists)))
         assert parse_lists(text) == bundle.lists
         assert parse_graph_document(text).lists == bundle.lists
 
@@ -240,7 +247,7 @@ def test_dump_is_parseable_json_with_trailing_newline():
 
 def test_serialized_edges_are_sorted():
     g = Graph(4, [(3, 2), (1, 0), (2, 0)])
-    obj = graph_to_obj(GraphDocument(g))
+    obj = graph_to_obj(NamedGraph(g))
     assert obj["edges"] == [[0, 1], [0, 2], [2, 3]]
 
 

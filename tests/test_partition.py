@@ -21,7 +21,7 @@ from eqcolor import (
     search_kd_partition,
     verify_kd_partition,
 )
-from eqcolor.partition import layer_ordering_exists
+from eqcolor.partition import _certified
 from oracles import (
     all_feasible_last_layers,
     first_back_degree_violation,
@@ -174,19 +174,27 @@ class TestVerify:
         verdict = verify_kd_partition(Graph(0), KdPartition(2, 1, []))
         assert verdict.valid
 
+    @pytest.mark.parametrize("name", ["k", "d"])
+    def test_parameter_zeroed_after_construction(self, name):
+        p = KdPartition(3, 1, [[0, 1, 2]])
+        setattr(p, name, 0)
+        verdict = verify_kd_partition(Graph(3), p)
+        assert not verdict.valid
+        assert verdict.violation.kind == "structure"
+        assert p._verified is None
+
+
+def fits(degs: list[int], d: int) -> list[int] | None:
+    """The layer-fit test on bare external degrees, each its own item."""
+    return _certified([(e, e) for e in degs], d)
+
 
 class TestLayerOrderingExists:
     def test_returns_ascending_witness(self):
-        assert layer_ordering_exists([1, 0, 3], 3, 2) == [0, 1, 3]
+        assert fits([1, 0, 3], 2) == [0, 1, 3]
 
     def test_none_when_smallest_too_large(self):
-        assert layer_ordering_exists([1, 1], 2, 1) is None
-
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            layer_ordering_exists([0, 1], 3, 1)
-        with pytest.raises(InputError):
-            layer_ordering_exists([0], 1, 0)
+        assert fits([1, 1], 1) is None
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -198,7 +206,7 @@ class TestLayerOrderingExists:
         degs = data.draw(
             st.lists(st.integers(min_value=0, max_value=3 * k), min_size=k, max_size=k)
         )
-        witness = layer_ordering_exists(degs, k, d)
+        witness = fits(degs, d)
         by_perm = any(
             all(e <= d * i - 1 for i, e in enumerate(perm, start=1))
             for perm in itertools.permutations(degs)
