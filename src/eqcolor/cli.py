@@ -4,9 +4,12 @@ Subcommands generate graphs, build and verify layer partitions, run the
 equitable list colouring, verify colourings, and compute degeneracy.
 Documents travel as JSON on files or stdin/stdout ("-"), with at most one
 document read from stdin and at most one written to stdout per call (a
-missing --out means stdout); errors leave as {"code", "message",
-"context"} objects with exit code 2 (bad input, or an exhausted budget
-or memory) or 3 (parse failure). Exit 1 means a verifier said no or a
+missing --out means stdout). Each command returns its exit code and the
+documents it made; main writes them only after the command has
+returned, files first and stdout last, so a command that fails writes
+nothing but its error. Errors leave as {"code", "message", "context"}
+objects on stdout with exit code 2 (bad input, or an exhausted budget or
+memory) or 3 (parse failure). Exit 1 means a verifier said no or a
 search proved absence.
 """
 
@@ -16,6 +19,7 @@ import argparse
 import gc
 import sys
 from random import Random
+from typing import Any
 
 from . import fileio
 from .coloring import (
@@ -23,7 +27,7 @@ from .coloring import (
     equitable_coloring,
     verify_equitable_list_coloring,
 )
-from .errors import InputError, InvariantError, ParseError
+from .errors import EqcolorError, InputError, InvariantError, ParseError
 from .generators import NamedGraph, gen_basic, gen_example2, gen_gq, gen_planted_partition
 from .graph import degeneracy
 from .grids import make_grid, partition3d
@@ -62,14 +66,16 @@ def _given(path: str | None, embedded, parse, missing: str):
     return embedded
 
 
-def _verdict(out: str, verdict, fields: tuple[str, ...]) -> int:
-    """Write the {"valid": ...} document; exit 0 if it holds, else 1."""
+# A command's exit code and the (path, document object) pairs to write.
+Outcome = tuple[int, list[tuple[str, Any]]]
+
+
+def _verdict(out: str, verdict, fields: tuple[str, ...]) -> Outcome:
+    """The {"valid": ...} document; exit 0 if it holds, else 1."""
     if verdict.valid:
-        _write(out, fileio.dump({"valid": True}))
-        return 0
+        return 0, [(out, {"valid": True})]
     violation = {field: getattr(verdict.violation, field) for field in fields}
-    _write(out, fileio.dump({"valid": False, "violation": violation}))
-    return 1
+    return 1, [(out, {"valid": False, "violation": violation})]
 
 
 _NO_PARTITION = "no partition given and none embedded in the graph document"
@@ -77,15 +83,12 @@ _NO_PARTITION = "no partition given and none embedded in the graph document"
 
 def _dims(value: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in value.split(","))
+        return tuple(int(part) for part in value.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"dims must be comma-separated integers, got {value!r}")
-    if not dims:
-        raise argparse.ArgumentTypeError("dims must not be empty")
-    return dims
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Outcome:
     kind = args.kind
     if kind == "grid":
         if args.dims is None:
@@ -104,46 +107,41 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.n is None:
             raise InputError(f"gen {kind} requires -n")
         doc = gen_basic(kind, n=args.n, p=args.p, seed=args.seed)
-    _write(args.out, fileio.dump(fileio.graph_to_obj(doc)))
+    outputs = [(args.out, fileio.graph_to_obj(doc))]
     if args.partition_out:
         if doc.partition is None:
             raise InputError("this generator bundles no partition")
-        _write(args.partition_out, fileio.dump(fileio.partition_to_obj(doc.partition)))
+        outputs.append((args.partition_out, fileio.partition_to_obj(doc.partition)))
     if args.lists_out:
         if doc.lists is None:
             raise InputError("this generator bundles no lists")
-        _write(args.lists_out, fileio.dump(fileio.lists_to_obj(doc.lists)))
-    return 0
+        outputs.append((args.lists_out, fileio.lists_to_obj(doc.lists)))
+    return 0, outputs
 
 
-def _cmd_partition_verify(args: argparse.Namespace) -> int:
+def _cmd_partition_verify(args: argparse.Namespace) -> Outcome:
     doc = fileio.parse_graph_document(_read(args.graph))
     partition = _given(args.partition, doc.partition, fileio.parse_partition, _NO_PARTITION)
     verdict = verify_kd_partition(doc.graph, partition)
     return _verdict(args.out, verdict, ("kind", "message", "layer", "position", "vertex"))
 
 
-def _cmd_partition_grid3d(args: argparse.Namespace) -> int:
-    partition = partition3d(args.dims)
-    _write(args.out, fileio.dump(fileio.partition_to_obj(partition)))
-    return 0
+def _cmd_partition_grid3d(args: argparse.Namespace) -> Outcome:
+    return 0, [(args.out, fileio.partition_to_obj(partition3d(args.dims)))]
 
 
-def _cmd_partition_search(args: argparse.Namespace) -> int:
+def _cmd_partition_search(args: argparse.Namespace) -> Outcome:
     doc = fileio.parse_graph_document(_read(args.graph))
     result = search_kd_partition(doc.graph, args.k, args.d, budget=args.budget)
     if result.status is SearchStatus.FOUND:
         assert result.partition is not None
-        _write(args.out, fileio.dump(fileio.partition_to_obj(result.partition)))
-        return 0
+        return 0, [(args.out, fileio.partition_to_obj(result.partition))]
     if result.status is SearchStatus.PROVED_ABSENT:
-        _write(args.out, fileio.dump({"result": "absent", "expanded": result.expanded}))
-        return 1
-    _write(args.out, fileio.dump({"result": "budget-exhausted", "expanded": result.expanded}))
-    return 2
+        return 1, [(args.out, {"result": "absent", "expanded": result.expanded})]
+    return 2, [(args.out, {"result": "budget-exhausted", "expanded": result.expanded})]
 
 
-def _cmd_color(args: argparse.Namespace) -> int:
+def _cmd_color(args: argparse.Namespace) -> Outcome:
     doc = fileio.parse_graph_document(_read(args.graph))
     partition = _given(args.partition, doc.partition, fileio.parse_partition, _NO_PARTITION)
     rng = Random(args.seed)
@@ -154,37 +152,26 @@ def _cmd_color(args: argparse.Namespace) -> int:
     else:
         lists = _given(args.lists, doc.lists, fileio.parse_lists,
                        "no lists given: pass --lists or --uniform-lists")
-    if args.lists_out:
-        _write(args.lists_out, fileio.dump(fileio.lists_to_obj(lists)))
     seed = rng.randrange(2**32) if args.tie_break == "seeded" else None
-    coloring = equitable_coloring(
-        doc.graph,
-        partition,
-        lists,
-        tie_break=args.tie_break,
-        seed=seed,
-        debug=args.debug_asserts,
-    )
-    _write(args.out, fileio.dump(fileio.coloring_to_obj(coloring)))
-    return 0
+    coloring = equitable_coloring(doc.graph, partition, lists, seed=seed, debug=args.debug_asserts)
+    outputs = [(args.lists_out, fileio.lists_to_obj(lists))] if args.lists_out else []
+    return 0, outputs + [(args.out, fileio.coloring_to_obj(coloring))]
 
 
-def _cmd_verify_coloring(args: argparse.Namespace) -> int:
+def _cmd_verify_coloring(args: argparse.Namespace) -> Outcome:
     doc = fileio.parse_graph_document(_read(args.graph))
     lists = _given(args.lists, doc.lists, fileio.parse_lists,
                    "no lists given and none embedded in the graph document")
     coloring = fileio.parse_coloring(_read(args.coloring))
-    t = args.t if args.t is not None else lists.t
-    if t != lists.t:
-        raise InputError(f"-t {t} contradicts the lists' uniform size {lists.t}")
-    verdict = verify_equitable_list_coloring(doc.graph, lists, t, coloring, args.d)
+    if args.t is not None and args.t != lists.t:
+        raise InputError(f"-t {args.t} contradicts the lists' uniform size {lists.t}")
+    verdict = verify_equitable_list_coloring(doc.graph, lists, lists.t, coloring, args.d)
     return _verdict(args.out, verdict, ("clause", "message", "vertex", "color"))
 
 
-def _cmd_degeneracy(args: argparse.Namespace) -> int:
+def _cmd_degeneracy(args: argparse.Namespace) -> Outcome:
     doc = fileio.parse_graph_document(_read(args.graph))
-    _write(args.out, fileio.dump(degeneracy(doc.graph)))
-    return 0
+    return 0, [(args.out, degeneracy(doc.graph))]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,9 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(code: str, exc: Exception) -> str:
-    context = getattr(exc, "context", {}) or {}
-    return fileio.dump({"code": code, "message": str(exc), "context": context})
+def _error_payload(code: str, exc: EqcolorError) -> str:
+    return fileio.dump({"code": code, "message": str(exc), "context": exc.context})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,7 +276,12 @@ def main(argv: list[str] | None = None) -> int:
             flags = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n, None) == "-"]
             if len(flags) > 1:
                 raise InputError(f"only one document can {stream}, got {' and '.join(flags)}")
-        return args.func(args)
+        code, outputs = args.func(args)
+        # Stable sort: files in the command's order, then stdout, so a failed
+        # file write leaves stdout to the error document.
+        for path, obj in sorted(outputs, key=lambda output: output[0] == "-"):
+            _write(path, fileio.dump(obj))
+        return code
     except ParseError as exc:
         sys.stdout.write(_error_payload("parse-error", exc))
         return 3

@@ -295,22 +295,19 @@ def colour_list(
                             lw.remove(c)
 
 
-def reorder(s_col: list[int], colors: Mapping[int, int], k: int, x: int) -> list[int]:
+def reorder(s_col: list[int], colors: Mapping[int, int], k: int) -> list[int]:
     """Permute an already coloured list so every k-window is rainbow.
 
-    The input starts with x vertices of pairwise distinct colours followed
-    by blocks of k, each block rainbow on its own. The x-prefix is kept;
-    each block is then drained greedily, always appending the earliest
-    pooled vertex whose colour avoids the previous k - 1 output colours.
-    A pool holding j colours faces at most j - 1 clashes from outside its
-    own block, so the greedy step never gets stuck.
+    The input starts with x = len(s_col) % k vertices of pairwise distinct
+    colours followed by blocks of k, each block rainbow on its own. The
+    x-prefix is kept; each block is then drained greedily, always appending
+    the earliest pooled vertex whose colour avoids the previous k - 1
+    output colours. A pool holding j colours faces at most j - 1 clashes
+    from outside its own block, so the greedy step never gets stuck.
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    if x < 0 or x > len(s_col) or (k > 1 and x >= k and s_col):
-        raise InputError(f"prefix length x={x} invalid for k={k}")
-    if (len(s_col) - x) % k:
-        raise InputError(f"length {len(s_col)} minus prefix {x} is not a multiple of {k}")
+    x = len(s_col) % k
     out = list(s_col[:x])
     outc = [colors[v] for v in out]  # the colours of out, slot by slot
     pos = x
@@ -391,7 +388,6 @@ def equitable_coloring(
     p: KdPartition,
     lists: ListAssignment,
     *,
-    tie_break: str = "smallest",
     seed: int | None = None,
     debug: bool = False,
     trace: RunTrace | None = None,
@@ -404,11 +400,12 @@ def equitable_coloring(
     their colours are then stripped from the matching groups of the
     remaining vertices, which are finally coloured in blocks of gamma*k.
 
-    tie_break is "smallest" (default, deterministic) or "seeded"
-    (uniform choice driven by seed). With debug=True the theoretical
-    list-size floors, per-class degeneracy, and the final group
-    decomposition are asserted at every step. A RunTrace passed as trace
-    is filled with intermediate artifacts.
+    With seed=None (default) each vertex takes the smallest colour left in
+    its list; an int seed makes each choice uniform over the list, drawn
+    from Random(seed). With debug=True the theoretical list-size floors,
+    per-class degeneracy, and the final group decomposition are asserted
+    at every step. A RunTrace passed as trace is filled with intermediate
+    artifacts.
 
     The partition is verified unless a passing verify_kd_partition has
     stamped it with this very g and its current k, d and layers.
@@ -427,15 +424,10 @@ def equitable_coloring(
     t = lists.t
     if t < p.k:
         raise InputError(f"uniform list size t={t} must be at least k={p.k}")
-    if tie_break == "smallest":
-        rng = None
-    elif tie_break == "seeded":
-        rng = Random(0 if seed is None else seed)
-    else:
-        raise InputError(f"unknown tie_break {tie_break!r}")
 
     c = compute_counters(g.n, t, p.k)
     order = list(chain.from_iterable(map(reversed, p.layers)))  # each layer reversed
+    rng = None if seed is None else Random(seed)
     state = AlgorithmState(g, lists, p.k, p.d, rng=rng, debug=debug)
     if trace is not None:
         trace.counters = c
@@ -451,7 +443,7 @@ def equitable_coloring(
     if trace is not None:
         trace.s_col_initial = list(s_col)
 
-    s_col = reorder(s_col, state.colors, k, c.x)
+    s_col = reorder(s_col, state.colors, k)  # its prefix is the x block
     rest = order[s_end:]
     gk = c.gamma * k
     modify_colour_lists(state, s_col, rest, c.r, gk)

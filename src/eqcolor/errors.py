@@ -6,18 +6,10 @@ from typing import Any
 
 
 class EqcolorError(Exception):
-    """Base class for all package errors."""
-
-
-class InputError(EqcolorError, ValueError):
-    """Raised when arguments violate a documented precondition."""
-
-
-class InvariantError(EqcolorError, RuntimeError):
-    """Raised when an internal invariant fails.
+    """Base class for all package errors.
 
     Carries a context mapping with whatever state helps diagnose the
-    failure, typically the offending vertex and the pipeline stage.
+    failure, such as the offending vertex, layer or input line.
     """
 
     def __init__(self, message: str, context: dict[str, Any] | None = None) -> None:
@@ -25,9 +17,13 @@ class InvariantError(EqcolorError, RuntimeError):
         self.context = context or {}
 
 
+class InputError(EqcolorError, ValueError):
+    """Raised when arguments violate a documented precondition."""
+
+
+class InvariantError(EqcolorError, RuntimeError):
+    """Raised when an internal invariant fails."""
+
+
 class ParseError(EqcolorError, ValueError):
     """Raised when a document cannot be parsed into a domain object."""
-
-    def __init__(self, message: str, context: dict[str, Any] | None = None) -> None:
-        super().__init__(message)
-        self.context = context or {}

@@ -79,6 +79,18 @@ class TestGen:
         assert code == 2
         assert json.loads(out)["code"] == "input-error"
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["planted", "-n", "5"], "gen planted requires -n, -k, and -d"),
+            (["path"], "gen path requires -n"),
+        ],
+    )
+    def test_missing_size_flags(self, run, argv, message):
+        code, out = run("gen", *argv)
+        assert code == 2
+        assert json.loads(out) == {"code": "input-error", "message": message, "context": {}}
+
     def test_path_to_stdout(self, run):
         code, out = run("gen", "path", "-n", "4")
         assert code == 0
@@ -163,6 +175,20 @@ class TestPartitionVerify:
         payload = json.loads(out)
         assert payload["valid"] is False
         assert payload["violation"]["kind"] == "back-degree"
+
+    def test_uncovered_vertex_exits_one(self, tmp_path, run):
+        gpath = tmp_path / "g.json"
+        run("gen", "path", "-n", "5", "--out", str(gpath))
+        ppath = tmp_path / "short.json"
+        ppath.write_text('{"k": 3, "d": 1, "layers": [[0], [1, 2, 3]]}')
+        code, out = run(
+            "partition", "verify", "--graph", str(gpath), "--partition", str(ppath)
+        )
+        assert code == 1
+        assert json.loads(out) == {"valid": False, "violation": {
+            "kind": "structure", "message": "vertex 4 is not covered by any layer",
+            "layer": None, "position": None, "vertex": None,
+        }}
 
     def test_missing_partition(self, tmp_path, run):
         gpath = tmp_path / "g.json"
@@ -461,6 +487,66 @@ class TestErrorChannel:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code != 0
+
+
+class TestNothingWrittenOnFailure:
+    """A command that fails leaves exactly one document, its error, and no files."""
+
+    @staticmethod
+    def only_error(out, message):
+        # json.loads rejects a second document after the first
+        assert json.loads(out) == {"code": "input-error", "message": message, "context": {}}
+
+    @pytest.mark.parametrize(
+        ("flag", "message"),
+        [
+            ("--partition-out", "this generator bundles no partition"),
+            ("--lists-out", "this generator bundles no lists"),
+        ],
+        ids=["partition", "lists"],
+    )
+    @pytest.mark.parametrize("graph_out", [False, True], ids=["graph-to-stdout", "graph-to-file"])
+    def test_generator_without_the_bundle(self, tmp_path, run, flag, message, graph_out):
+        argv = ["gen", "path", "-n", "2", flag, str(tmp_path / "p.json")]
+        if graph_out:
+            argv += ["--out", str(tmp_path / "g.json")]
+        code, out = run(*argv)
+        assert code == 2
+        self.only_error(out, message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("partition", "t", "message"),
+        [
+            ('{"k": 2, "d": 1, "layers": [[1], [0, 2]]}', "2",
+             "partition does not verify: vertex 0 at layer 2 position 1 has 1 "
+             "back-neighbours, allowed 0"),
+            ('{"k": 2, "d": 2, "layers": [[1], [0, 2]]}', "1",
+             "uniform list size t=1 must be at least k=2"),
+        ],
+        ids=["invalid-partition", "t-below-k"],
+    )
+    def test_colouring_that_fails(self, tmp_path, run, partition, t, message):
+        gpath = tmp_path / "g.json"
+        ppath = tmp_path / "p.json"
+        run("gen", "path", "-n", "3", "--out", str(gpath))
+        ppath.write_text(partition)
+        code, out = run(
+            "color", "--graph", str(gpath), "--partition", str(ppath), "--uniform-lists", t,
+            "--lists-out", "-", "--out", str(tmp_path / "c.json"),
+        )
+        assert code == 2
+        self.only_error(out, message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "p.json"]
+
+    def test_unwritable_file_leaves_stdout_to_the_error(self, tmp_path, run):
+        target = tmp_path / "missing" / "p.json"
+        code, out = run("gen", "gq", "--partition-out", str(target))
+        assert code == 2
+        err = json.loads(out)
+        assert err["code"] == "input-error"
+        assert err["message"].startswith(f"cannot write {target}: ")
+        assert not target.parent.exists()
 
 
 def _pipeline(tmp_path, dims):

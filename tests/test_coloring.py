@@ -233,14 +233,14 @@ class TestColourVertex:
 class TestReorder:
     def test_keeps_prefix_and_multiset(self):
         colors = {0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 2}
-        out = reorder([0, 1, 2, 3, 4, 5], colors, 2, 0)
+        out = reorder([0, 1, 2, 3, 4, 5], colors, 2)
         assert sorted(out) == [0, 1, 2, 3, 4, 5]
         for i in range(len(out) - 1):
             assert colors[out[i]] != colors[out[i + 1]]
 
     def test_prefix_is_untouched(self):
         colors = {9: 7, 0: 1, 1: 2, 2: 2, 3: 1}
-        out = reorder([9, 0, 1, 2, 3], colors, 2, 1)
+        out = reorder([9, 0, 1, 2, 3], colors, 2)
         assert out[0] == 9
 
     def test_every_window_is_rainbow_fuzz(self):
@@ -262,7 +262,7 @@ class TestReorder:
                     colors[nxt] = c
                     s_col.append(nxt)
                     nxt += 1
-            out = reorder(s_col, colors, k, x)
+            out = reorder(s_col, colors, k)
             assert sorted(out) == sorted(s_col)
             assert out[:x] == s_col[:x]
             for i in range(len(out) - k + 1):
@@ -271,12 +271,12 @@ class TestReorder:
 
     def test_monochrome_block_cannot_be_fixed(self):
         with pytest.raises(InvariantError):
-            reorder([0, 1], {0: 1, 1: 1}, 2, 0)
+            reorder([0, 1], {0: 1, 1: 1}, 2)
 
     def test_repeated_prefix_colour_fails_the_window_check(self):
         colors = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4}
         with pytest.raises(InvariantError) as exc:
-            reorder([0, 1, 2, 3, 4], colors, 3, 2)
+            reorder([0, 1, 2, 3, 4], colors, 3)
         assert str(exc.value) == "repeated colour inside a window after reorder"
         assert exc.value.context == {"start": 0, "window": [0, 1, 2]}
 
@@ -297,25 +297,21 @@ class TestReorder:
             repeated = len({colors[v] for v in s_col[:x]}) < x
             if repeated and len(s_col) >= k:
                 with pytest.raises(InvariantError) as exc:
-                    reorder(s_col, colors, k, x)
+                    reorder(s_col, colors, k)
                 failed += 1
                 window = exc.value.context["window"]
                 assert exc.value.context["start"] == 0
                 assert window[:x] == s_col[:x]
                 assert len(set(window)) == k and set(window) <= set(s_col)
             else:
-                out = reorder(s_col, colors, k, x)
+                out = reorder(s_col, colors, k)
                 for i in range(len(out) - k + 1):
                     assert len({colors[v] for v in out[i : i + k]}) == k
         assert failed > 0
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
-            reorder([0], {0: 1}, 0, 0)
-        with pytest.raises(InputError):
-            reorder([0, 1], {0: 1, 1: 2}, 2, 1)
-        with pytest.raises(InputError):
-            reorder([0, 1, 2], {0: 1, 1: 2, 2: 3}, 2, 0)
+            reorder([0], {0: 1}, 0)
 
 
 class TestModifyColourLists:
@@ -456,10 +452,10 @@ class TestPipelineBehaviour:
     def test_seeded_runs_repeat_with_same_seed(self):
         bundle = gen_example2()
         a = equitable_coloring(
-            bundle.graph, bundle.partition, bundle.lists, tie_break="seeded", seed=11
+            bundle.graph, bundle.partition, bundle.lists, seed=11
         )
         b = equitable_coloring(
-            bundle.graph, bundle.partition, bundle.lists, tie_break="seeded", seed=11
+            bundle.graph, bundle.partition, bundle.lists, seed=11
         )
         assert a.colors == b.colors
 
@@ -470,7 +466,6 @@ class TestPipelineBehaviour:
                 bundle.graph,
                 bundle.partition,
                 bundle.lists,
-                tie_break="seeded",
                 seed=seed,
                 debug=True,
             )
@@ -483,10 +478,6 @@ class TestPipelineBehaviour:
         bundle = gen_example2()
         with pytest.raises(InputError):
             equitable_coloring(
-                bundle.graph, bundle.partition, bundle.lists, tie_break="largest"
-            )
-        with pytest.raises(InputError):
-            equitable_coloring(
                 bundle.graph,
                 KdPartition(2, 3, [[0], [1, 2]]),
                 bundle.lists,
@@ -494,6 +485,11 @@ class TestPipelineBehaviour:
         skinny = ListAssignment(1, {v: [1] for v in range(20)})
         with pytest.raises(InputError):
             equitable_coloring(bundle.graph, bundle.partition, skinny)
+
+    def test_rejects_the_empty_graph(self):
+        with pytest.raises(InputError) as exc:
+            equitable_coloring(Graph(0), KdPartition(1, 1, []), ListAssignment(1, {}))
+        assert str(exc.value) == "graph must have at least one vertex"
 
     def test_planted_instances_with_random_lists(self):
         rng = random.Random(808)
@@ -835,7 +831,8 @@ def _pinned_runs():
                 for debug in (False, True):
                     trace = RunTrace()
                     coloring = equitable_coloring(
-                        g, p, lists, tie_break=tie_break, seed=seed, debug=debug, trace=trace
+                        g, p, lists, seed=seed if tie_break == "seeded" else None,
+                        debug=debug, trace=trace,
                     )
                     fields = dataclasses.astuple(trace)  # ends with the lists_after_modify dict
                     yield repr((sorted(coloring.colors.items()), fields[:-1], sorted(fields[-1].items())))

@@ -116,6 +116,12 @@ class TestVerify:
         verdict = verify_kd_partition(g, p)
         assert not verdict.valid
 
+    def test_uncovered_vertex(self):
+        verdict = verify_kd_partition(path(5), KdPartition(3, 1, [[0], [1, 2, 3]]))
+        assert not verdict.valid
+        assert verdict.violation.kind == "structure"
+        assert verdict.violation.message == "vertex 4 is not covered by any layer"
+
     def test_back_degree_violation_fields(self):
         g = path(3)
         verdict = verify_kd_partition(g, KdPartition(2, 1, [[1], [0, 2]]))
@@ -224,7 +230,7 @@ class TestSearch:
             search_kd_partition(g, 0, 1)
         with pytest.raises(InputError):
             search_kd_partition(g, 1, 0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^graph must have at least one vertex$"):
             search_kd_partition(Graph(0), 1, 1)
 
     def test_single_vertex_layers_need_edgeless_graph(self):
@@ -393,3 +399,18 @@ class TestEnumerateLastLayers:
     def test_requires_enough_vertices(self):
         with pytest.raises(InputError):
             list(enumerate_last_layers(Graph(2), 3, 1))
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: greedy_kd_partition(path(3), 0, 1), "k and d must be positive"),
+        (lambda: greedy_kd_partition(Graph(0), 1, 1), "graph must have at least one vertex"),
+        (lambda: list(enumerate_last_layers(path(3), 0, 1)), "k and d must be positive"),
+    ],
+    ids=["greedy-k0", "greedy-empty", "enumerate-k0"],
+)
+def test_greedy_and_enumeration_reject_bad_input(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
