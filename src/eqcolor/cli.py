@@ -7,16 +7,19 @@ document read from stdin and at most one written to stdout per call (a
 missing --out means stdout). Each command returns its exit code and the
 documents it made; main writes them only after the command has
 returned, files first and stdout last, so a command that fails writes
-nothing but its error. Errors leave as {"code", "message", "context"}
-objects on stdout with exit code 2 (bad input, or an exhausted budget or
-memory) or 3 (parse failure). Exit 1 means a verifier said no or a
-search proved absence.
+nothing but its error, and a write that fails removes the files the call
+created. Errors leave as {"code", "message", "context"} objects on stdout
+with the exit status their type names: 2 (bad input, or an exhausted
+budget or memory) or 3 (parse failure). Exit 1 means a verifier said no
+or a search proved absence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import os
 import sys
 from random import Random
 from typing import Any
@@ -27,7 +30,7 @@ from .coloring import (
     equitable_coloring,
     verify_equitable_list_coloring,
 )
-from .errors import EqcolorError, InputError, InvariantError, ParseError
+from .errors import EqcolorError, InputError, ParseError
 from .generators import NamedGraph, gen_basic, gen_example2, gen_gq, gen_planted_partition
 from .graph import degeneracy
 from .grids import make_grid, partition3d
@@ -253,10 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(code: str, exc: EqcolorError) -> str:
-    return fileio.dump({"code": code, "message": str(exc), "context": exc.context})
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -277,23 +276,22 @@ def main(argv: list[str] | None = None) -> int:
             if len(flags) > 1:
                 raise InputError(f"only one document can {stream}, got {' and '.join(flags)}")
         code, outputs = args.func(args)
-        # Stable sort: files in the command's order, then stdout, so a failed
-        # file write leaves stdout to the error document.
-        for path, obj in sorted(outputs, key=lambda output: output[0] == "-"):
-            _write(path, fileio.dump(obj))
+        # Files in the command's order, then stdout: a failed file write leaves stdout to the error.
+        outputs.sort(key=lambda output: output[0] == "-")
+        created = [path for path, _ in outputs if path != "-" and not os.path.lexists(path)]
+        try:
+            for path, obj in outputs:
+                _write(path, fileio.dump(obj))
+        except (InputError, MemoryError):  # main reports these as its one document
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
         return code
-    except ParseError as exc:
-        sys.stdout.write(_error_payload("parse-error", exc))
-        return 3
-    except InputError as exc:
-        sys.stdout.write(_error_payload("input-error", exc))
-        return 2
-    except InvariantError as exc:
-        sys.stdout.write(_error_payload("invariant-error", exc))
-        return 2
-    except MemoryError:
-        sys.stdout.write(_error_payload("input-error", InputError("out of memory for this input")))
-        return 2
+    except (EqcolorError, MemoryError) as exc:
+        err = exc if isinstance(exc, EqcolorError) else InputError("out of memory for this input")
+        sys.stdout.write(fileio.dump({"code": err.code, "message": str(err), "context": err.context}))
+        return err.exit_status
     finally:
         if collecting:
             gc.enable()

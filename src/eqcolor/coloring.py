@@ -52,7 +52,7 @@ def compute_counters(n: int, t: int, k: int) -> Counters:
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
     if t < k:
-        raise InputError(f"t must be at least k, got t={t}, k={k}")
+        raise InputError(f"uniform list size t={t} must be at least k={k}")
     eta = math.ceil(n / k) - 1
     r1 = n - eta * k
     beta = math.ceil(n / t) - 1
@@ -234,11 +234,12 @@ def colour_list(
 ) -> None:
     """Colour vertices in consecutive blocks of p with distinct colours.
 
-    Inside a block each vertex's list permanently loses the colours the
-    block has already used, which forces pairwise distinct colours. The
-    optional min_size callback is a debug hook: given the 1-based position
-    inside a block it returns the smallest list size the theory
-    guarantees at that point.
+    It trusts equitable_coloring's layout (uncoloured vertices, a multiple
+    of p of them) and re-checks neither. Inside a block each vertex's list
+    permanently loses the colours the block has already used, which forces
+    pairwise distinct colours. The optional min_size callback is a debug
+    hook: given the 1-based position inside a block it returns the
+    smallest list size the theory guarantees at that point.
 
     Each vertex v takes the smallest colour c left in its list (or a
     seeded-uniform one when the state carries an rng), and each
@@ -249,8 +250,6 @@ def colour_list(
     """
     if not vertices:
         return
-    if p < 1 or len(vertices) % p:
-        raise InputError(f"length {len(vertices)} is not a positive multiple of {p}")
     lists, colors, counts, adj = state.lists, state.colors, state.counts, state.graph._adj
     d, rng, debug = state.d, state.rng, state.debug
     floors = debug and min_size is not None
@@ -266,8 +265,6 @@ def colour_list(
                         f"list of vertex {v} shrank to {len(lv)}, floor is {floor}",
                         context={"vertex": v, "position": i, "size": len(lv), "floor": floor},
                     )
-            if v in colors:
-                raise InputError(f"vertex {v} is already coloured")
             if not lv:
                 raise InvariantError(
                     f"empty colour list at vertex {v}",
@@ -347,21 +344,11 @@ def modify_colour_lists(
 
     s_col holds beta groups of r coloured vertices, rest holds beta groups
     of gamma_k uncoloured ones; group i of rest loses group i's colours.
+    The shapes are equitable_coloring's layout and are not re-checked.
     """
-    if r < 0:
-        raise InputError(f"r must be non-negative, got {r}")
-    if gamma_k < 1:
-        raise InputError(f"gamma_k must be positive, got {gamma_k}")
-    if len(rest) % gamma_k:
-        raise InputError(f"rest length {len(rest)} is not a multiple of {gamma_k}")
-    beta = len(rest) // gamma_k
-    if len(s_col) != beta * r:
-        raise InputError(
-            f"coloured list length {len(s_col)} does not match beta*r = {beta * r}"
-        )
     if r == 0:
         return
-    for i in range(beta):
+    for i in range(len(rest) // gamma_k):
         block_colors = {state.colors[v] for v in s_col[i * r : (i + 1) * r]}
         for v in rest[i * gamma_k : (i + 1) * gamma_k]:
             state.lists[v] -= block_colors
@@ -422,9 +409,6 @@ def equitable_coloring(
             assert verdict.violation is not None
             raise InputError(f"partition does not verify: {verdict.violation.message}")
     t = lists.t
-    if t < p.k:
-        raise InputError(f"uniform list size t={t} must be at least k={p.k}")
-
     c = compute_counters(g.n, t, p.k)
     order = list(chain.from_iterable(map(reversed, p.layers)))  # each layer reversed
     rng = None if seed is None else Random(seed)

@@ -11,7 +11,7 @@ is accepted as input and converts losslessly to the canonical form.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
@@ -52,6 +52,14 @@ def _by_vertex(obj: dict[str, Any]) -> dict[int, Any] | None:
     return out if len(out) == len(obj) else None
 
 
+def _built(what: str, make: Callable[..., Any], *args: Any) -> Any:
+    """``make(*args)``, with any package error it raises re-raised as a ParseError."""
+    try:
+        return make(*args)
+    except EqcolorError as exc:
+        raise ParseError(f"{what} rejected: {exc}") from exc
+
+
 def _load_json(text: str, what: str) -> dict[str, Any]:
     try:
         doc = json.loads(text)
@@ -75,10 +83,7 @@ def _graph_from_obj(doc: dict[str, Any]) -> Graph:
                 raise ParseError(f"edge {item!r} is not a pair")
             for end in item:
                 _as_int(end, "edge endpoint")
-    try:
-        return Graph(n, edges_obj)
-    except EqcolorError as exc:
-        raise ParseError(f"graph document rejected: {exc}") from exc
+    return _built("graph document", Graph, n, edges_obj)
 
 
 def _parse_dimacs(text: str) -> Graph:
@@ -118,10 +123,7 @@ def _parse_dimacs(text: str) -> Graph:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise ParseError("no problem line found")
-    try:
-        return Graph(n, edges)
-    except EqcolorError as exc:
-        raise ParseError(f"edge list rejected: {exc}") from exc
+    return _built("edge list", Graph, n, edges)
 
 
 def parse_graph_document(text: str) -> NamedGraph:
@@ -177,10 +179,7 @@ def _partition_from_obj(obj: Any, n: int | None = None) -> KdPartition:
                         f"layer {idx} references missing vertex {v}",
                         context={"layer": idx, "vertex": v},
                     )
-    try:
-        return KdPartition(k=k, d=d, layers=layers_obj)
-    except EqcolorError as exc:
-        raise ParseError(f"partition document rejected: {exc}") from exc
+    return _built("partition document", KdPartition, k, d, layers_obj)
 
 
 def parse_partition(text: str) -> KdPartition:
@@ -212,10 +211,7 @@ def _lists_from_obj(obj: Any) -> ListAssignment:
             if not isinstance(value, list):
                 raise ParseError(f"list of vertex {v} is not a list", context={"vertex": v})
             lists[v] = [_as_int(c, f"colour of vertex {v}") for c in value]
-    try:
-        return ListAssignment(t, lists)
-    except EqcolorError as exc:
-        raise ParseError(f"lists document rejected: {exc}") from exc
+    return _built("lists document", ListAssignment, t, lists)
 
 
 def parse_lists(text: str) -> ListAssignment:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqcolor
-from eqcolor import NamedGraph, equitable_coloring, gen_example2, verify_kd_partition
+from eqcolor import InvariantError, NamedGraph, equitable_coloring, gen_example2, verify_kd_partition
 from eqcolor.cli import main
 from eqcolor.fileio import (
     coloring_to_obj,
@@ -90,6 +90,12 @@ class TestGen:
         code, out = run("gen", *argv)
         assert code == 2
         assert json.loads(out) == {"code": "input-error", "message": message, "context": {}}
+
+    def test_non_integer_dims_is_a_usage_error(self, capsys):
+        assert main(["gen", "grid", "--dims", "5,a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dims must be comma-separated integers, got '5,a'" in captured.err
 
     def test_path_to_stdout(self, run):
         code, out = run("gen", "path", "-n", "4")
@@ -483,6 +489,30 @@ class TestErrorChannel:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["code"] == "input-error"
 
+    def test_invariant_error_document(self, run, example_doc, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("boom", context={"vertex": 1})
+
+        monkeypatch.setattr("eqcolor.cli.equitable_coloring", broken)
+        code, out = run("color", "--graph", example_doc)
+        assert code == 2
+        assert json.loads(out) == {"code": "invariant-error", "message": "boom", "context": {"vertex": 1}}
+
+    @pytest.mark.parametrize(
+        ("block", "message"),
+        [
+            ({"partition": []}, "partition must be a JSON object"),
+            ({"lists": 5}, "lists document must be a JSON object"),
+        ],
+        ids=["partition", "lists"],
+    )
+    def test_embedded_block_that_is_not_an_object_exits_three(self, tmp_path, run, block, message):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1]], **block}))
+        code, out = run("degeneracy", "--graph", str(gpath))
+        assert code == 3
+        assert json.loads(out) == {"code": "parse-error", "message": message, "context": {}}
+
     def test_unknown_command_exits_nonzero(self, run, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()
@@ -547,6 +577,24 @@ class TestNothingWrittenOnFailure:
         assert err["code"] == "input-error"
         assert err["message"].startswith(f"cannot write {target}: ")
         assert not target.parent.exists()
+
+    def test_failed_later_write_removes_the_files_the_call_created(self, tmp_path, run):
+        target = tmp_path / "missing" / "p.json"
+        code, out = run("gen", "example2", "--out", str(tmp_path / "g.json"),
+                        "--partition-out", str(target))
+        assert code == 2
+        assert json.loads(out)["message"].startswith(f"cannot write {target}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_later_write_keeps_files_that_were_there_before(self, tmp_path, run):
+        gpath = tmp_path / "g.json"
+        gpath.write_text("old")
+        target = tmp_path / "missing" / "p.json"
+        code, out = run("gen", "example2", "--out", str(gpath), "--partition-out", str(target))
+        assert code == 2
+        assert json.loads(out)["message"].startswith(f"cannot write {target}: ")
+        assert list(tmp_path.iterdir()) == [gpath]
+        assert parse_graph_document(gpath.read_text()).graph == gen_example2().graph
 
 
 def _pipeline(tmp_path, dims):

@@ -143,6 +143,19 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_graph_document("c only comments\n")
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("p edge 3\n", "line 1: expected 'p edge N M'"),
+            ("p edge 3 1\ne 1 x\n", "line 2: non-numeric edge"),
+        ],
+        ids=["short-problem-line", "non-numeric-edge"],
+    )
+    def test_malformed_line_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph_document(text)
+        assert str(exc.value) == message
+
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError):
             parse_graph_document("p edge 2 1\ne 1 1\n")
