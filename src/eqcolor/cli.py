@@ -7,11 +7,12 @@ document read from stdin and at most one written to stdout per call (a
 missing --out means stdout). Each command returns its exit code and the
 documents it made; main writes them only after the command has
 returned, files first and stdout last, so a command that fails writes
-nothing but its error, and a write that fails removes the files the call
-created. Errors leave as {"code", "message", "context"} objects on stdout
-with the exit status their type names: 2 (bad input, or an exhausted
-budget or memory) or 3 (parse failure). Exit 1 means a verifier said no
-or a search proved absence.
+nothing but its error. A missing directory fails before any file is
+written, and a later write that fails removes the files the call created.
+Errors leave as {"code", "message", "context"} objects on stdout with the
+exit status their type names: 2 (bad input, or an exhausted budget or
+memory) or 3 (parse failure). Exit 1 means a verifier said no or a
+search proved absence.
 """
 
 from __future__ import annotations
@@ -278,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         code, outputs = args.func(args)
         # Files in the command's order, then stdout: a failed file write leaves stdout to the error.
         outputs.sort(key=lambda output: output[0] == "-")
+        # A missing directory makes open fail: raise its error before any file is written.
+        for path, _ in outputs:
+            if path != "-" and not os.path.isdir(os.path.dirname(path) or os.curdir):
+                _write(path, "")
         created = [path for path, _ in outputs if path != "-" and not os.path.lexists(path)]
         try:
             for path, obj in outputs:

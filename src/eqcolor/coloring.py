@@ -48,7 +48,7 @@ class Counters:
 def compute_counters(n: int, t: int, k: int) -> Counters:
     """Derive every block size the pipeline needs from (n, t, k)."""
     if n < 1:
-        raise InputError(f"n must be positive, got {n}")
+        raise InputError("graph must have at least one vertex")
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
     if t < k:
@@ -189,14 +189,14 @@ class RunTrace:
 class AlgorithmState:
     """Mutable working state for one colouring run.
 
-    Tracks the shrinking colour lists, the partial colouring, and for
-    every vertex a count of same-coloured neighbours per colour; the
-    counts drive list pruning inside colour_list. A count is kept only
-    while it can prune: counts[w][c] grows only while w is uncoloured and
-    c is still in w's list. Lists only shrink, so a colour that has left
-    a list never returns and its later hits cannot matter, and a coloured
-    vertex's counts are never read again. k and d come from a partition
-    that verify_kd_partition passed, so both are positive.
+    Holds the partial colouring and, per vertex, one dict from each colour
+    still allowed to its room: how many more coloured neighbours may wear
+    that colour. Room starts at d and a colour leaves the dict when its
+    room reaches 0, which is the (d-1)-degeneracy rule of the paper; the
+    block exclusion and modify_colour_lists remove colours outright.
+    Lists only shrink, so a colour that has left never returns, and a
+    coloured vertex's dict is never read again. k and d come from a
+    partition that verify_kd_partition passed, so both are positive.
     """
 
     def __init__(
@@ -212,16 +212,15 @@ class AlgorithmState:
         n = graph.n
         given = lists._lists
         try:  # map runs in vertex order: a KeyError names the smallest missing vertex
-            working = dict(zip(range(n), map(set, map(given.__getitem__, range(n)))))
+            working = list(map(dict.fromkeys, map(given.__getitem__, range(n)), repeat(d)))
         except KeyError as missing:
             raise InputError(f"list assignment misses vertex {missing.args[0]}") from None
         self.graph = graph
         self.k = k
         self.d = d
         self.t = lists.t
-        self.lists: dict[int, set[int]] = working
+        self.lists: list[dict[int, int]] = working
         self.colors: dict[int, int] = {}
-        self.counts: list[dict[int, int]] = [{} for _ in range(n)]
         self.rng = rng
         self.debug = debug
 
@@ -243,21 +242,23 @@ def colour_list(
 
     Each vertex v takes the smallest colour c left in its list (or a
     seeded-uniform one when the state carries an rng), and each
-    uncoloured neighbour w still holding c counts a hit and loses c once
-    d neighbours wear it. Other hits are not counted: they could never
-    prune, and the debug degeneracy check reads counts[v][c] only for a c
-    that v's list held all along, every hit on which was counted.
+    uncoloured neighbour w still holding c loses one unit of c's room,
+    and c itself once that room is used up. Hits on colours that have
+    left a list are not counted: they could never prune, and the debug
+    degeneracy check reads the room of a c that v's list held all along.
     """
     if not vertices:
         return
-    lists, colors, counts, adj = state.lists, state.colors, state.counts, state.graph._adj
+    lists, colors, adj = state.lists, state.colors, state.graph._adj
     d, rng, debug = state.d, state.rng, state.debug
     floors = debug and min_size is not None
     for start in range(0, len(vertices), p):
-        used: set[int] = set()
+        used: list[int] = []
         for i, v in enumerate(vertices[start : start + p], start=1):
             lv = lists[v]
-            lv -= used
+            for u in used:
+                if u in lv:
+                    del lv[u]
             if floors:
                 floor = min_size(i)
                 if len(lv) < floor:
@@ -272,24 +273,25 @@ def colour_list(
                              "t": state.t, "k": state.k, "d": d},
                 )
             c = min(lv) if rng is None else rng.choice(sorted(lv))
-            if debug and counts[v].get(c, 0) >= d:
+            if debug and lv[c] < 1:
                 # Every vertex joins its class with at most d-1 earlier same-coloured
                 # neighbours, so colouring order is a smallest-last certificate that
                 # each class is (d-1)-degenerate.
                 raise InvariantError(
                     f"colour class {c} lost ({d - 1})-degeneracy at vertex {v}",
-                    context={"vertex": v, "color": c, "same_coloured_neighbours": counts[v][c]},
+                    context={"vertex": v, "color": c, "same_coloured_neighbours": d - lv[c]},
                 )
             colors[v] = c
-            used.add(c)
+            used.append(c)
             for w in adj[v]:
                 if w not in colors:
                     lw = lists[w]
                     if c in lw:
-                        cw = counts[w]
-                        cw[c] = hits = cw.get(c, 0) + 1
-                        if hits == d:
-                            lw.remove(c)
+                        room = lw[c]
+                        if room == 1:
+                            del lw[c]
+                        else:
+                            lw[c] = room - 1
 
 
 def reorder(s_col: list[int], colors: Mapping[int, int], k: int) -> list[int]:
@@ -351,7 +353,8 @@ def modify_colour_lists(
     for i in range(len(rest) // gamma_k):
         block_colors = {state.colors[v] for v in s_col[i * r : (i + 1) * r]}
         for v in rest[i * gamma_k : (i + 1) * gamma_k]:
-            state.lists[v] -= block_colors
+            for c in block_colors:
+                state.lists[v].pop(c, None)
 
 
 def _check_decomposition(
@@ -400,8 +403,6 @@ def equitable_coloring(
     not cover the graph, or t < k; raises InvariantError if an internal
     invariant fails (which signals invalid input rather than bad luck).
     """
-    if g.n < 1:
-        raise InputError("graph must have at least one vertex")
     stamp = p._verified
     if stamp is None or stamp[0] is not g or stamp[1:] != (p.k, p.d, p.layers):
         verdict = verify_kd_partition(g, p)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate
+from operator import ne
 
 from .errors import InputError
 
@@ -24,15 +25,20 @@ class Graph:
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        sets: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in sets)
+            adj[u].append(v)
+            adj[v].append(u)
+        for a in adj:
+            a.sort()
+        # One check for a repeated edge; only then collapse the repeats.
+        if any(map(ne, map(len, adj), map(len, map(set, adj)))):
+            adj = [sorted(set(a)) for a in adj]
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     def _check(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -54,12 +60,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u, a in enumerate(self._adj) for v in a if u < v]
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self._adj) // 2
@@ -84,11 +85,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     for v in keep:
         g._check(v)
     index = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for old in keep:
-        for w in g.neighbors(old):
-            if w > old and w in index:
-                edges.append((index[old], index[w]))
+    edges = [(index[old], index[w]) for old in keep for w in g._adj[old] if w > old and w in index]
     return Graph(len(keep), edges), keep
 
 

@@ -23,6 +23,15 @@ from eqcolor import (
 from eqcolor.graph import induced_subgraph
 
 
+def adjacency_by_sets(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex sorted neighbour tuples, collapsed through one set per vertex."""
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        sets[u].add(v)
+        sets[v].add(u)
+    return tuple(tuple(sorted(s)) for s in sets)
+
+
 def adjacency_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
     for u, v in g.edges():

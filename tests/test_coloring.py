@@ -187,10 +187,20 @@ class TestColourVertex:
         g = path(3)
         state = self.make_state(g, {0: [1, 2], 1: [1, 2], 2: [1, 2]}, d=2)
         colour_list(state, [0], 1)  # colour 1
-        assert state.lists[1] == {1, 2}  # one neighbour coloured 1, d=2 not reached
-        state.lists[2].discard(2)
+        assert set(state.lists[1]) == {1, 2}  # one neighbour coloured 1, d=2 not reached
+        del state.lists[2][2]
         colour_list(state, [2], 1)  # also colour 1
-        assert state.lists[1] == {2}  # second hit crosses d
+        assert set(state.lists[1]) == {2}  # second hit crosses d
+
+    def test_room_of_d_takes_d_hits(self):
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        state = self.make_state(star, {v: [1, 2] for v in range(4)}, d=3)
+        for leaf in (1, 2):
+            colour_list(state, [leaf], 1)  # colour 1
+        assert set(state.lists[0]) == {1, 2}  # two hits leave room for one more
+        assert state.lists[0][1] == 1
+        colour_list(state, [3], 1)
+        assert set(state.lists[0]) == {2}  # the third hit uses the room up
 
     def test_already_coloured_neighbour_keeps_its_colour(self):
         g = Graph(2, [(0, 1)])
@@ -207,8 +217,8 @@ class TestColourVertex:
         state = self.make_state(g, {0: [1, 2], 1: [1, 2]}, d=1, debug=True)
         colour_list(state, [0], 1)
         assert state.colors == {0: 1}
-        assert state.lists[1] == {2}
-        state.lists[1].add(1)  # undo the prune, so vertex 1 would join class 1
+        assert set(state.lists[1]) == {2}
+        state.lists[1][1] = 0  # undo the prune, so vertex 1 would join class 1
         with pytest.raises(InvariantError) as exc:
             colour_list(state, [1], 1)
         assert exc.value.context["vertex"] == 1
@@ -318,16 +328,16 @@ class TestModifyColourLists:
         state = self.setup_state()
         state.colors = {0: 1, 1: 3}
         modify_colour_lists(state, [0, 1], [2, 3, 4, 5, 6, 7], 1, 3)
-        assert state.lists[2] == {2, 3, 4}
-        assert state.lists[3] == {2, 3, 4}
-        assert state.lists[4] == {2, 3, 4}
-        assert state.lists[5] == {1, 2, 4}
-        assert state.lists[6] == {1, 2, 4}
-        assert state.lists[7] == {1, 2, 4}
+        assert set(state.lists[2]) == {2, 3, 4}
+        assert set(state.lists[3]) == {2, 3, 4}
+        assert set(state.lists[4]) == {2, 3, 4}
+        assert set(state.lists[5]) == {1, 2, 4}
+        assert set(state.lists[6]) == {1, 2, 4}
+        assert set(state.lists[7]) == {1, 2, 4}
 
     def test_r_zero_is_a_no_op(self):
         state = self.setup_state()
-        before = {v: set(state.lists[v]) for v in range(8)}
+        before = [dict(lv) for lv in state.lists]
         modify_colour_lists(state, [], [0, 1, 2, 3, 4, 5, 6, 7], 0, 4)
         assert state.lists == before
 

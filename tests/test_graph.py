@@ -3,6 +3,8 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqcolor import (
     Graph,
@@ -11,7 +13,12 @@ from eqcolor import (
     is_d_degenerate,
 )
 from eqcolor.graph import induced_subgraph
-from oracles import degeneracy_by_subsets, degenerate_by_peeling, degenerate_by_subsets
+from oracles import (
+    adjacency_by_sets,
+    degeneracy_by_subsets,
+    degenerate_by_peeling,
+    degenerate_by_subsets,
+)
 
 
 def path(n: int) -> Graph:
@@ -73,6 +80,24 @@ class TestGraph:
                 for v in g.neighbors(u):
                     assert g.adjacent(v, u)
             assert sum(g.degree(v) for v in range(n)) == 2 * g.edge_count()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_build_matches_the_set_oracle(self, data):
+        # Shuffled pairs, some reversed and some repeated: a repeat takes the
+        # collapse path, a duplicate-free list the plain sorted one.
+        n = data.draw(st.integers(2, 12))
+        pairs = sorted({(u, v) for u in range(n) for v in range(u + 1, n)})
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        repeats = data.draw(st.lists(st.sampled_from(chosen), max_size=4)) if chosen else []
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen) + len(repeats),
+                                   max_size=len(chosen) + len(repeats)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen + repeats, flips)]
+        edges = data.draw(st.permutations(edges))
+        g = Graph(n, edges)
+        assert g._adj == adjacency_by_sets(n, edges)
+        assert g == Graph(n, chosen)
+        assert g.edge_count() == len(chosen)
 
     def test_equality(self):
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
