@@ -7,8 +7,9 @@ document read from stdin and at most one written to stdout per call (a
 missing --out means stdout). Each command returns its exit code and the
 documents it made; main writes them only after the command has
 returned, files first and stdout last, so a command that fails writes
-nothing but its error. A missing directory fails before any file is
-written, and a later write that fails removes the files the call created.
+nothing but its error. Every file target is opened for append before any
+document is written, so one that cannot be opened leaves existing files as
+they were, and a write that still fails removes the files the call created.
 Errors leave as {"code", "message", "context"} objects on stdout with the
 exit status their type names: 2 (bad input, or an exhausted budget or
 memory) or 3 (parse failure). Exit 1 means a verifier said no or a
@@ -50,12 +51,12 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     if path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
@@ -279,12 +280,12 @@ def main(argv: list[str] | None = None) -> int:
         code, outputs = args.func(args)
         # Files in the command's order, then stdout: a failed file write leaves stdout to the error.
         outputs.sort(key=lambda output: output[0] == "-")
-        # A missing directory makes open fail: raise its error before any file is written.
-        for path, _ in outputs:
-            if path != "-" and not os.path.isdir(os.path.dirname(path) or os.curdir):
-                _write(path, "")
         created = [path for path, _ in outputs if path != "-" and not os.path.lexists(path)]
         try:
+            # Opening for append neither truncates nor writes, so every target that
+            # cannot be opened fails here, before any document is written.
+            for path, _ in outputs:
+                _write(path, "", "a")
             for path, obj in outputs:
                 _write(path, fileio.dump(obj))
         except (InputError, MemoryError):  # main reports these as its one document

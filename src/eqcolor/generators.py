@@ -118,7 +118,10 @@ def gen_example2() -> NamedGraph:
     for j in range(1, 6):
         for a in range(j, 6):
             edges.append((names[f"v_{j}^2"], names[f"v_{a}^1"]))
-    layers = [[names[f"w_{j}^{i}"], names[f"v_{j}^{i}"]] for i in (1, 2) for j in range(1, 6)]
+    layers = []
+    for i in (1, 2):
+        for j in range(1, 6):
+            layers.append([names[f"w_{j}^{i}"], names[f"v_{j}^{i}"]])
     lists: dict[int, list[int]] = {}
     for j in range(1, 6):
         lists[names[f"v_{j}^1"]] = [1, 2, 3]

@@ -60,7 +60,12 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u, a in enumerate(self._adj) for v in a if u < v]
+        out = []
+        for u in range(self.n):
+            for v in self._adj[u]:
+                if u < v:
+                    out.append((u, v))
+        return out
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self._adj) // 2
@@ -85,7 +90,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     for v in keep:
         g._check(v)
     index = {old: new for new, old in enumerate(keep)}
-    edges = [(index[old], index[w]) for old in keep for w in g._adj[old] if w > old and w in index]
+    edges = []
+    for old in keep:
+        for w in g.neighbors(old):
+            if w > old and w in index:
+                edges.append((index[old], index[w]))
     return Graph(len(keep), edges), keep
 
 

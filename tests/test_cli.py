@@ -590,7 +590,7 @@ class TestNothingWrittenOnFailure:
         self, tmp_path, run
     ):
         target = tmp_path / "p.json"
-        target.mkdir()  # its directory exists, so only the write itself fails
+        target.mkdir()  # its directory exists, but the target cannot be opened as a file
         code, out = run("gen", "example2", "--out", str(tmp_path / "g.json"),
                         "--partition-out", str(target))
         assert code == 2
@@ -605,6 +605,19 @@ class TestNothingWrittenOnFailure:
         assert code == 2
         assert json.loads(out)["message"].startswith(f"cannot write {target}: ")
         assert list(tmp_path.iterdir()) == [gpath]
+        assert gpath.read_text() == "old"
+
+    def test_failed_later_write_to_a_directory_keeps_files_that_were_there_before(
+        self, tmp_path, run
+    ):
+        gpath = tmp_path / "g.json"
+        gpath.write_text("old")
+        target = tmp_path / "p.json"
+        target.mkdir()
+        code, out = run("gen", "example2", "--out", str(gpath), "--partition-out", str(target))
+        assert code == 2
+        assert json.loads(out)["message"].startswith(f"cannot write {target}: ")
+        assert sorted(tmp_path.iterdir()) == [gpath, target]
         assert gpath.read_text() == "old"
 
 
