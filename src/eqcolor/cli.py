@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     color.add_argument("--tie-break", choices=["smallest", "seeded"], default="smallest")
     color.add_argument("--seed", type=int, default=None)
     color.add_argument("--debug-asserts", action="store_true",
-                       help="check internal list-size floors and class degeneracy")
+                       help="also check the size-t groups (list floors are checked on every run)")
     color.add_argument("--lists-out", default=None, help="write the lists that were used")
     color.add_argument("--out", default="-")
     color.set_defaults(func=_cmd_color)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import countOf
@@ -207,7 +207,6 @@ class AlgorithmState:
         d: int,
         *,
         rng: Random | None = None,
-        debug: bool = False,
     ) -> None:
         n = graph.n
         given = lists._lists
@@ -222,65 +221,45 @@ class AlgorithmState:
         self.lists: list[dict[int, int]] = working
         self.colors: dict[int, int] = {}
         self.rng = rng
-        self.debug = debug
 
 
-def colour_list(
-    state: AlgorithmState,
-    vertices: list[int],
-    p: int,
-    min_size: Callable[[int], int] | None = None,
-) -> None:
-    """Colour vertices in consecutive blocks of p with distinct colours.
+def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -> None:
+    """Colour vertices in consecutive blocks of len(floors) with distinct colours.
 
     It trusts equitable_coloring's layout (uncoloured vertices, a multiple
-    of p of them) and re-checks neither. Inside a block each vertex's list
-    permanently loses the colours the block has already used, which forces
-    pairwise distinct colours. The optional min_size callback is a debug
-    hook: given the 1-based position inside a block it returns the
-    smallest list size the theory guarantees at that point.
+    of len(floors) of them) and re-checks neither. Inside a block each
+    vertex's list permanently loses the colours the block has already used,
+    which forces pairwise distinct colours. A list shorter than floors[i],
+    the paper's bound at position i + 1 of a block, raises InvariantError;
+    every floor is at least 1.
 
     Each vertex v takes the smallest colour c left in its list (or a
     seeded-uniform one when the state carries an rng), and each
     uncoloured neighbour w still holding c loses one unit of c's room,
-    and c itself once that room is used up. Hits on colours that have
-    left a list are not counted: they could never prune, and the debug
-    degeneracy check reads the room of a c that v's list held all along.
+    and c itself once that room is used up, so v joins its class with at
+    most d - 1 earlier same-coloured neighbours. Hits on colours that have
+    left a list are not counted: they could never prune.
     """
     if not vertices:
         return
-    lists, colors, adj = state.lists, state.colors, state.graph._adj
-    d, rng, debug = state.d, state.rng, state.debug
-    floors = debug and min_size is not None
+    lists, colors, adj, rng = state.lists, state.colors, state.graph._adj, state.rng
+    p = len(floors)
     for start in range(0, len(vertices), p):
         used: list[int] = []
-        for i, v in enumerate(vertices[start : start + p], start=1):
+        for v in vertices[start : start + p]:
             lv = lists[v]
             for u in used:
                 if u in lv:
                     del lv[u]
-            if floors:
-                floor = min_size(i)
-                if len(lv) < floor:
-                    raise InvariantError(
-                        f"list of vertex {v} shrank to {len(lv)}, floor is {floor}",
-                        context={"vertex": v, "position": i, "size": len(lv), "floor": floor},
-                    )
-            if not lv:
+            floor = floors[len(used)]  # used holds one colour per earlier vertex of the block
+            if len(lv) < floor:
                 raise InvariantError(
-                    f"empty colour list at vertex {v}",
+                    f"list of vertex {v} shrank to {len(lv)}, floor is {floor}",
                     context={"vertex": v, "assigned": len(colors), "n": state.graph.n,
-                             "t": state.t, "k": state.k, "d": d},
+                             "t": state.t, "k": state.k, "d": state.d,
+                             "position": len(used) + 1, "size": len(lv), "floor": floor},
                 )
             c = min(lv) if rng is None else rng.choice(sorted(lv))
-            if debug and lv[c] < 1:
-                # Every vertex joins its class with at most d-1 earlier same-coloured
-                # neighbours, so colouring order is a smallest-last certificate that
-                # each class is (d-1)-degenerate.
-                raise InvariantError(
-                    f"colour class {c} lost ({d - 1})-degeneracy at vertex {v}",
-                    context={"vertex": v, "color": c, "same_coloured_neighbours": d - lv[c]},
-                )
             colors[v] = c
             used.append(c)
             for w in adj[v]:
@@ -392,10 +371,12 @@ def equitable_coloring(
 
     With seed=None (default) each vertex takes the smallest colour left in
     its list; an int seed makes each choice uniform over the list, drawn
-    from Random(seed). With debug=True the theoretical list-size floors,
-    per-class degeneracy, and the final group decomposition are asserted
-    at every step. A RunTrace passed as trace is filled with intermediate
-    artifacts.
+    from Random(seed). Every run checks each list against the paper's
+    floor for its place in its block: t - (i - 1) at position i of the
+    first block, t - k + 1 in the x and rho blocks, and
+    t - r - k - floor((i - 1)/k)*k + 1 in the gamma*k blocks. debug=True
+    adds only the final check that every implied size-t group is rainbow.
+    A RunTrace passed as trace is filled with intermediate artifacts.
 
     The partition is verified unless a passing verify_kd_partition has
     stamped it with this very g and its current k, d and layers.
@@ -413,7 +394,7 @@ def equitable_coloring(
     c = compute_counters(g.n, t, p.k)
     order = list(chain.from_iterable(map(reversed, p.layers)))  # each layer reversed
     rng = None if seed is None else Random(seed)
-    state = AlgorithmState(g, lists, p.k, p.d, rng=rng, debug=debug)
+    state = AlgorithmState(g, lists, p.k, p.d, rng=rng)
     if trace is not None:
         trace.counters = c
         trace.order = list(order)
@@ -421,9 +402,9 @@ def equitable_coloring(
     k = p.k
     x_end = c.r2 + c.x
     s_end = x_end + c.rho * k
-    colour_list(state, order[: c.r2], c.r2, min_size=lambda i: t - (i - 1))
-    colour_list(state, order[c.r2 : x_end], c.x, min_size=lambda i: t - k + 1)
-    colour_list(state, order[x_end:s_end], k, min_size=lambda i: t - k + 1)
+    colour_list(state, order[: c.r2], list(range(t, t - c.r2, -1)))
+    colour_list(state, order[c.r2 : x_end], [t - k + 1] * c.x)
+    colour_list(state, order[x_end:s_end], [t - k + 1] * k)
     s_col = order[c.r2 : s_end]
     if trace is not None:
         trace.s_col_initial = list(s_col)
@@ -437,7 +418,7 @@ def equitable_coloring(
         trace.rest_order = list(rest)
         trace.lists_after_modify = {v: tuple(sorted(state.lists[v])) for v in rest}
 
-    colour_list(state, rest, gk, min_size=lambda i: t - c.r - k - ((i - 1) // k) * k + 1)
+    colour_list(state, rest, [t - c.r - k + 1 - (i // k) * k for i in range(gk)])
     if debug:
         _check_decomposition(state, c, order[: c.r2], s_col, rest)
     return Coloring(state.colors)

@@ -197,4 +197,4 @@ def gen_planted_partition(n: int, k: int, d: int, seed: int | None = None) -> Na
         earlier.extend(layer)
     names = {str(v): v for v in range(n)}
     partition = KdPartition(k=k, d=d, layers=layers)
-    return _checked(NamedGraph(Graph(n, sorted(edges)), names, partition=partition))
+    return _checked(NamedGraph(Graph(n, edges), names, partition=partition))

@@ -180,49 +180,45 @@ class TestColourVertex:
 
     def test_picks_smallest_colour(self):
         state = self.make_state(Graph(1), {0: [4, 2, 9]})
-        colour_list(state, [0], 1)
+        colour_list(state, [0], [1])
         assert state.colors == {0: 2}
 
     def test_neighbour_list_pruned_at_threshold(self):
         g = path(3)
         state = self.make_state(g, {0: [1, 2], 1: [1, 2], 2: [1, 2]}, d=2)
-        colour_list(state, [0], 1)  # colour 1
+        colour_list(state, [0], [1])  # colour 1
         assert set(state.lists[1]) == {1, 2}  # one neighbour coloured 1, d=2 not reached
         del state.lists[2][2]
-        colour_list(state, [2], 1)  # also colour 1
+        colour_list(state, [2], [1])  # also colour 1
         assert set(state.lists[1]) == {2}  # second hit crosses d
 
     def test_room_of_d_takes_d_hits(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         state = self.make_state(star, {v: [1, 2] for v in range(4)}, d=3)
         for leaf in (1, 2):
-            colour_list(state, [leaf], 1)  # colour 1
+            colour_list(state, [leaf], [1])  # colour 1
         assert set(state.lists[0]) == {1, 2}  # two hits leave room for one more
         assert state.lists[0][1] == 1
-        colour_list(state, [3], 1)
+        colour_list(state, [3], [1])
         assert set(state.lists[0]) == {2}  # the third hit uses the room up
 
     def test_already_coloured_neighbour_keeps_its_colour(self):
         g = Graph(2, [(0, 1)])
         state = self.make_state(g, {0: [1], 1: [1]}, d=1)
-        colour_list(state, [0], 1)
+        colour_list(state, [0], [1])
         # vertex 1 is uncoloured, crossing d=1 empties its singleton list
         with pytest.raises(InvariantError) as exc:
-            colour_list(state, [1], 1)
+            colour_list(state, [1], [1])
         assert exc.value.context["vertex"] == 1
         assert exc.value.context["n"] == 2
 
-    def test_debug_rejects_colour_worn_by_d_neighbours(self):
-        g = Graph(2, [(0, 1)])
-        state = self.make_state(g, {0: [1, 2], 1: [1, 2]}, d=1, debug=True)
-        colour_list(state, [0], 1)
-        assert state.colors == {0: 1}
-        assert set(state.lists[1]) == {2}
-        state.lists[1][1] = 0  # undo the prune, so vertex 1 would join class 1
+    def test_list_below_its_floor_raises_without_debug(self):
+        state = self.make_state(Graph(2), {0: [1, 2], 1: [1, 2]})
         with pytest.raises(InvariantError) as exc:
-            colour_list(state, [1], 1)
-        assert exc.value.context["vertex"] == 1
-        assert exc.value.context["color"] == 1
+            colour_list(state, [0, 1], [2, 2])  # vertex 1 loses colour 1 to vertex 0
+        context = exc.value.context
+        assert (context["vertex"], context["position"]) == (1, 2)
+        assert (context["size"], context["floor"]) == (1, 2)
         assert 1 not in state.colors
 
     def test_seeded_choice_stays_inside_list(self):
@@ -230,7 +226,7 @@ class TestColourVertex:
             state = self.make_state(
                 Graph(1), {0: [3, 5, 8]}, rng=random.Random(seed)
             )
-            colour_list(state, [0], 1)
+            colour_list(state, [0], [1])
             assert state.colors[0] in (3, 5, 8)
 
 
@@ -502,6 +498,38 @@ class TestPipelineBehaviour:
                 bundle.graph, lists, t, coloring, d
             )
             assert verdict.valid, verdict.violation
+
+    def test_no_vertex_joins_d_earlier_neighbours_of_its_colour(self):
+        # Coloring.colors is filled in colouring order, so this order is a
+        # smallest-last certificate that every class is (d-1)-degenerate.
+        rng = random.Random(1616)
+        instances = []
+        for _ in range(30):
+            n, k, d = rng.randint(10, 60), rng.randint(1, 4), rng.randint(1, 3)
+            bundle = gen_planted_partition(n, k, d, seed=rng.randrange(2**30))
+            instances.append((bundle.graph, bundle.partition))
+        for dims in [(2, 3, 4), (3, 3, 3), (2, 5, 6), (4, 4, 5)]:
+            instances.append((make_grid(dims)[0], partition3d(dims)))
+        for g, p in instances:
+            for seed in (None, rng.randrange(2**30)):
+                t = rng.randint(p.k, p.k + 3)
+                lists = ListAssignment.uniform_random(g.n, t, 2 * t, rng)
+                colors = equitable_coloring(g, p, lists, seed=seed).colors
+                earlier = set()
+                for v, c in colors.items():
+                    same = [w for w in g.neighbors(v) if w in earlier and colors[w] == c]
+                    assert len(same) <= p.d - 1, (v, c, same)
+                    earlier.add(v)
+                assert len(earlier) == g.n
+
+    def test_debug_catches_a_repeated_colour_in_a_size_t_group(self, monkeypatch):
+        monkeypatch.setattr("eqcolor.coloring.modify_colour_lists", lambda *args: None)
+        for seed in range(5):
+            bundle = gen_planted_partition(60, 3, 2, seed=seed)
+            lists = ListAssignment.uniform_random(60, 4, 8, random.Random(seed))
+            equitable_coloring(bundle.graph, bundle.partition, lists)  # the floors still hold
+            with pytest.raises(InvariantError, match="^repeated colour inside a size-t group$"):
+                equitable_coloring(bundle.graph, bundle.partition, lists, debug=True)
 
     def test_missing_lists_name_the_smallest_vertex(self):
         bundle = gen_planted_partition(10, 2, 2, seed=1)

@@ -103,6 +103,12 @@ class TestVerify:
         assert not verdict.valid
         assert "invalid vertex" in verdict.violation.message
 
+    def test_bool_is_not_a_vertex(self):
+        verdict = verify_kd_partition(Graph(2, [(0, 1)]), KdPartition(1, 2, [[0], [True]]))
+        assert not verdict.valid
+        assert verdict.violation.kind == "structure"
+        assert verdict.violation.message == "layer 2 contains invalid vertex True"
+
     def test_duplicate_vertex(self):
         g = Graph(3)
         verdict = verify_kd_partition(g, KdPartition(1, 1, [[0], [1], [1]]))
