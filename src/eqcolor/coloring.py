@@ -70,6 +70,9 @@ class ListAssignment:
     def __init__(self, t: int, lists: Mapping[int, Iterable[int]]) -> None:
         if t < 1:
             raise InputError(f"t must be positive, got {t}")
+        if not set(map(type, lists)) <= {int}:
+            key = next(v for v in lists if type(v) is not int)
+            raise InputError(f"list key {key!r} is not a vertex id")
         clean: dict[int, tuple[int, ...]] = {}
         for v in sorted(lists):
             colours = list(lists[v])
@@ -446,8 +449,8 @@ def verify_equitable_list_coloring(
             return ColoringVerdict(
                 False, ColoringViolation("domain", f"vertex {v} is uncoloured", vertex=v)
             )
-    if len(colors) != n:
-        foreign = next(v for v in colors if v not in range(n))
+    if len(colors) != n or not set(map(type, colors)) <= {int}:
+        foreign = next(v for v in colors if type(v) is not int or v not in range(n))
         return ColoringVerdict(
             False,
             ColoringViolation("domain", f"vertex {foreign!r} is not in the graph", vertex=foreign),

@@ -267,14 +267,6 @@ def coloring_to_obj(c: Coloring) -> dict[str, Any]:
     return {"colors": {str(v): c.colors[v] for v in sorted(c.colors)}}
 
 
-def _key(key: Any) -> str:
-    if isinstance(key, str):
-        return _escape(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _escape(json.dumps(key))  # 1 -> "1", True -> "true", nan -> "NaN"
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _rows(values: Any, inner: str) -> Iterator[str] | None:
     """Each of ``values`` as ``_encode`` writes it at ``inner``, by one ``%d``
     template per row length; None unless every value is a list of exact ints."""
@@ -289,8 +281,10 @@ def _encode(value: Any, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at ``indent``.
 
     Rows of ints go through ``_rows``; other exact ints and strs are written
-    inline, which saves a call per vertex id; everything that is not a
-    non-empty container goes to ``json.dumps``.
+    inline, which saves a call per vertex id.  Everything that is neither a
+    non-empty list or tuple nor a non-empty dict keyed by exact strs goes to
+    ``json.dumps`` with its newlines indented: JSON text has no raw newline
+    inside a string, so that is the same text at any depth.
     """
     if isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
@@ -298,16 +292,16 @@ def _encode(value: Any, indent: str) -> str:
             int.__repr__(v) if type(v) is int else _escape(v) if type(v) is str else _encode(v, inner)
             for v in value
         ]) + indent + "]"
-    if isinstance(value, dict) and value:
+    if isinstance(value, dict) and value and set(map(type, value)) <= {str}:
         inner = indent + "  "
-        rows = _rows(value.values(), inner) if set(map(type, value)) <= {str} else None
+        rows = _rows(value.values(), inner)
         members = map("%s: %s".__mod__, zip(map(_escape, value), rows)) if rows else [
-            (_escape(k) if type(k) is str else _key(k)) + ": "
+            _escape(k) + ": "
             + (int.__repr__(v) if type(v) is int else _escape(v) if type(v) is str else _encode(v, inner))
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(members) + indent + "}"
-    return json.dumps(value)
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 def dump(obj: Any) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import accumulate
 from operator import ne
 
 from .errors import InputError
@@ -108,32 +107,25 @@ def is_d_degenerate(g: Graph, d: int) -> bool:
 def degeneracy(g: Graph) -> int:
     """Smallest d such that g is d-degenerate (0 for the empty graph).
 
-    Batagelj-Zaversnik peeling in O(n + m): vertices sit in one array
-    sorted by current degree with each degree bucket's start recorded, so
-    a neighbour's degree drops by an O(1) swap to the front of its bucket.
+    One upward walk over degree buckets in O(n + m), smallest-last as in
+    Matula-Beck: a vertex is peeled from the bucket of its current degree
+    and drops each neighbour of higher degree into the bucket below; the
+    neighbour's old entry is skipped as stale when the walk reaches it.
+    No degree falls below the level being walked, so the walk never turns
+    back.
     """
     adj = g._adj
-    deg = [len(a) for a in adj]
+    deg = list(map(len, adj))
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v, dv in enumerate(deg):
         buckets[dv].append(v)
-    order = [v for bucket in buckets for v in bucket]
-    start = list(accumulate((len(b) for b in buckets), initial=0))
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
     best = 0
-    for v in order:  # swaps only touch positions after v
-        dv = deg[v]
-        best = max(best, dv)
-        for w in adj[v]:
-            dw = deg[w]
-            if dw > dv:
-                first = start[dw]
-                u = order[first]
-                order[first], order[pos[w]] = w, u
-                pos[u], pos[w] = pos[w], first
-                start[dw] = first + 1
-                deg[w] = dw - 1
+    for level, bucket in enumerate(buckets):
+        for v in bucket:  # grows while it is walked
+            if deg[v] == level:  # else a copy left behind when v's degree fell
+                best = level
+                for w in adj[v]:
+                    if deg[w] > level:
+                        deg[w] -= 1
+                        buckets[deg[w]].append(w)
     return best
-

@@ -103,6 +103,12 @@ class TestListAssignment:
         with pytest.raises(InputError):
             ListAssignment(0, {})
 
+    @pytest.mark.parametrize("key", [True, 1.0, "1"])
+    def test_only_exact_ints_are_vertex_keys(self, key):
+        with pytest.raises(InputError) as caught:
+            ListAssignment(2, {0: [1, 2], key: [1, 2]})
+        assert str(caught.value) == f"list key {key!r} is not a vertex id"
+
     def test_missing_vertex_lookup(self):
         la = ListAssignment(1, {0: [1]})
         with pytest.raises(InputError):
@@ -691,6 +697,17 @@ class TestVerifier:
         assert not verdict.valid
         assert verdict.violation.clause == "domain"
         assert verdict.violation.vertex == 99
+
+    @pytest.mark.parametrize("key", [True, 1.0])
+    def test_non_int_key_is_a_domain_violation(self, key):
+        # key == 1, so vertex 1 looks coloured and the count matches n.
+        g = Graph(2, [(0, 1)])
+        lists = ListAssignment(2, {0: [1, 2], 1: [1, 2]})
+        verdict = verify_equitable_list_coloring(g, lists, 2, Coloring({0: 1, key: 2}), 1)
+        assert not verdict.valid
+        assert verdict.violation.clause == "domain"
+        assert verdict.violation.message == f"vertex {key!r} is not in the graph"
+        assert type(verdict.violation.vertex) is type(key)
 
     def test_domain_reported_before_list(self):
         g, lists, _ = self.make_valid()

@@ -6,7 +6,6 @@ import pytest
 
 from eqcolor import (
     InputError,
-    InvariantError,
     SearchStatus,
     gen_basic,
     gen_example2,

@@ -10,7 +10,10 @@ from eqcolor import (
     Graph,
     InputError,
     degeneracy,
+    gen_gq,
+    gen_planted_partition,
     is_d_degenerate,
+    make_grid,
 )
 from eqcolor.graph import induced_subgraph
 from oracles import (
@@ -152,6 +155,8 @@ class TestDegeneracy:
         assert degeneracy(Graph(3, [])) == 0
         assert degeneracy(complete(6)) == 5
         assert degeneracy(cycle(9)) == 2
+        assert degeneracy(make_grid((4, 5, 6))[0]) == 3
+        assert degeneracy(gen_gq(2).graph) == 5
 
     def test_monotone_in_d(self):
         rng = Random(31)
@@ -182,3 +187,10 @@ class TestDegeneracy:
             dg = degeneracy(g)
             assert degenerate_by_peeling(g, dg)
             assert dg == 0 or not degenerate_by_peeling(g, dg - 1)
+        # Planted graphs: many degrees fall into the bucket being walked.
+        for k, d in ((3, 2), (4, 3), (6, 1)):
+            for s in (1, 2):
+                g = gen_planted_partition(2_000, k, d, seed=s).graph
+                dg = degeneracy(g)
+                assert degenerate_by_peeling(g, dg)
+                assert not degenerate_by_peeling(g, dg - 1)

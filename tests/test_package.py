@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import sys
 import time
@@ -12,7 +13,8 @@ import eqcolor
 import eqcolor.cli  # noqa: F401  (the tracer also wraps the command line)
 from eqcolor import ListAssignment, make_grid, partition3d
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 PUBLIC = [
     "Coloring",
@@ -54,6 +56,28 @@ PUBLIC = [
 def test_root_exports_only_the_pipeline():
     assert eqcolor.__all__ == PUBLIC
     assert all(hasattr(eqcolor, name) for name in PUBLIC)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads as a name nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+
+
+def test_every_import_is_used():
+    sources = sorted([*(ROOT / "src" / "eqcolor").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(sources) > 10
+    assert [hit for path in sources for hit in unused_imports(path)] == []
 
 
 def load_tracer():
