@@ -81,7 +81,7 @@ class ListAssignment:
             if len(colours) != t:
                 raise InputError(f"list of vertex {v} has {len(colours)} colours, expected {t}")
             for c in colours:
-                if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+                if type(c) is not int or c < 1:
                     raise InputError(f"list of vertex {v} holds invalid colour {c!r}")
             clean[v] = tuple(sorted(colours))
         self.t = t
@@ -457,8 +457,9 @@ def verify_equitable_list_coloring(
         )
     col = [colors[v] for v in range(n)]
     given = lists._lists
+    exact = set(map(type, col)) <= {int}  # else a True or 1.0 would pass as 1
     for v, c in enumerate(col):
-        if c not in given.get(v, ()):
+        if c not in given.get(v, ()) or not exact and type(c) is not int:
             return ColoringVerdict(
                 False,
                 ColoringViolation(

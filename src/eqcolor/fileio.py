@@ -24,7 +24,7 @@ from .partition import KdPartition
 
 
 def _as_int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -38,9 +38,9 @@ def _exact_ints(values: Any, n: int | None = None) -> bool:
 
 
 def _int_rows(rows: Any, n: int | None = None) -> bool:
-    """Every row is a list of exact ints, in 0..n-1 given n."""
+    """Every row is a list or tuple of exact ints, in 0..n-1 given n."""
     flat = chain.from_iterable(rows)
-    return set(map(type, rows)) <= {list} and _exact_ints(flat if n is None else list(flat), n)
+    return set(map(type, rows)) <= {list, tuple} and _exact_ints(flat if n is None else list(flat), n)
 
 
 def _by_vertex(obj: dict[str, Any]) -> dict[int, Any] | None:
@@ -245,7 +245,7 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def graph_to_obj(doc: NamedGraph) -> dict[str, Any]:
-    obj: dict[str, Any] = {"n": doc.graph.n, "edges": [[u, v] for u, v in doc.graph.edges()]}
+    obj: dict[str, Any] = {"n": doc.graph.n, "edges": doc.graph.edges()}
     if doc.names is not None:
         obj["names"] = dict(sorted(doc.names.items(), key=lambda kv: kv[1]))
     if doc.partition is not None:
@@ -256,11 +256,11 @@ def graph_to_obj(doc: NamedGraph) -> dict[str, Any]:
 
 
 def partition_to_obj(p: KdPartition) -> dict[str, Any]:
-    return {"k": p.k, "d": p.d, "layers": [list(layer) for layer in p.layers]}
+    return {"k": p.k, "d": p.d, "layers": list(map(list, p.layers))}  # copied: p.layers is mutable
 
 
 def lists_to_obj(lists: ListAssignment) -> dict[str, Any]:
-    return {"t": lists.t, "lists": {str(v): list(colours) for v, colours in lists.items()}}
+    return {"t": lists.t, "lists": {str(v): colours for v, colours in lists.items()}}
 
 
 def coloring_to_obj(c: Coloring) -> dict[str, Any]:
@@ -269,7 +269,7 @@ def coloring_to_obj(c: Coloring) -> dict[str, Any]:
 
 def _rows(values: Any, inner: str) -> Iterator[str] | None:
     """Each of ``values`` as ``_encode`` writes it at ``inner``, by one ``%d``
-    template per row length; None unless every value is a list of exact ints."""
+    template per row length; None unless every value is a list or tuple of exact ints."""
     if not _int_rows(values):
         return None
     cell = "," + inner + "  %d"

@@ -9,6 +9,7 @@ also the graph document that fileio parses and writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from random import Random
 
 from .coloring import ListAssignment
@@ -184,11 +185,9 @@ def gen_planted_partition(n: int, k: int, d: int, seed: int | None = None) -> Na
     edges: set[tuple[int, int]] = set()
     earlier: list[int] = []
     for idx, layer in enumerate(layers):
-        for a in range(len(layer)):
-            for b in range(a + 1, len(layer)):
-                if rng.random() < 0.5:
-                    u, v = layer[a], layer[b]
-                    edges.add((min(u, v), max(u, v)))
+        for u, v in combinations(layer, 2):
+            if rng.random() < 0.5:
+                edges.add((min(u, v), max(u, v)))
         if idx > 0:
             for i, v in enumerate(layer, start=1):
                 cap = min(d * i - 1, len(earlier))

@@ -31,7 +31,7 @@ class GridSpec:
         if not original:
             raise InputError("grid needs at least one dimension")
         for s in original:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 2:
+            if type(s) is not int or s < 2:
                 raise InputError(f"every grid dimension must be an integer >= 2, got {s!r}")
         # Stable descending sort so equal dims keep their input order.
         axes = tuple(sorted(range(len(original)), key=lambda i: -original[i]))

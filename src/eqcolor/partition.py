@@ -94,7 +94,7 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
         elif len(layer) != k:
             return _structure(f"layer {j} has size {len(layer)}, expected {k}", layer=j)
         for v in layer:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 return _structure(f"layer {j} contains invalid vertex {v!r}", layer=j)
             if v in seen:
                 return _structure(f"vertex {v} appears more than once (layer {j})", layer=j)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,10 @@ from oracles import (
     verify_coloring_by_classes,
     verify_coloring_by_subsets,
 )
+
+
+class _Colour(IntEnum):
+    RED = 1
 
 
 def path(n):
@@ -100,6 +105,8 @@ class TestListAssignment:
             ListAssignment(2, {0: [0, 1]})
         with pytest.raises(InputError):
             ListAssignment(2, {0: [True, 2]})
+        with pytest.raises(InputError, match="holds invalid colour"):
+            ListAssignment(2, {0: [_Colour.RED, 2]})
         with pytest.raises(InputError):
             ListAssignment(0, {})
 
@@ -708,6 +715,17 @@ class TestVerifier:
         assert verdict.violation.clause == "domain"
         assert verdict.violation.message == f"vertex {key!r} is not in the graph"
         assert type(verdict.violation.vertex) is type(key)
+
+    @pytest.mark.parametrize("colour", [True, 1.0])
+    def test_non_int_colour_is_a_list_violation(self, colour):
+        # colour == 1, which is in vertex 0's list.
+        g = Graph(2, [(0, 1)])
+        lists = ListAssignment(2, {0: [1, 2], 1: [1, 2]})
+        verdict = verify_equitable_list_coloring(g, lists, 2, Coloring({0: colour, 1: 2}), 1)
+        assert not verdict.valid
+        assert verdict.violation.clause == "list"
+        assert verdict.violation.vertex == 0
+        assert type(verdict.violation.color) is type(colour)
 
     def test_domain_reported_before_list(self):
         g, lists, _ = self.make_valid()

@@ -261,7 +261,7 @@ def test_dump_is_parseable_json_with_trailing_newline():
 def test_serialized_edges_are_sorted():
     g = Graph(4, [(3, 2), (1, 0), (2, 0)])
     obj = graph_to_obj(NamedGraph(g))
-    assert obj["edges"] == [[0, 1], [0, 2], [2, 3]]
+    assert obj["edges"] == [(0, 1), (0, 2), (2, 3)]
 
 
 # Messages of the per-item edge parser, recorded before edges were
@@ -449,8 +449,9 @@ _VALUES = st.recursive(
     max_leaves=20,
 )
 # Containers of int rows, mostly pure (lists of exact ints) so that the
-# row writer runs, and some with a bool, an IntEnum, a float, a tuple row
-# or a deeper row mixed in, which must take the general path.
+# row writer runs, some with a tuple row, which it takes too, and some
+# with a bool, an IntEnum, a float or a deeper row mixed in, which must
+# take the general path.
 _ROW = st.lists(st.integers(), max_size=4)
 _ODD_ROW = (
     _ROW.map(tuple)

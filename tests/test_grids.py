@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -15,6 +16,10 @@ from eqcolor import (
     partition3d,
     verify_kd_partition,
 )
+
+
+class _Dim(IntEnum):
+    THREE = 3
 
 
 class TestGridSpec:
@@ -63,7 +68,7 @@ class TestGridSpec:
             assert label == "(" + ",".join(map(str, original)) + ")"
 
     def test_rejects_bad_dimensions(self):
-        for dims in ((), (1, 3), (0,), (2, True), (2.0, 3)):
+        for dims in ((), (1, 3), (0,), (2, True), (2.0, 3), (2, _Dim.THREE)):
             with pytest.raises(InputError):
                 GridSpec.from_dims(dims)
 

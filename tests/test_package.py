@@ -80,6 +80,27 @@ def test_every_import_is_used():
     assert [hit for path in sources for hit in unused_imports(path)] == []
 
 
+def int_type_checks(path: Path) -> list[str]:
+    """Lines that call ``isinstance`` against ``int`` or ``bool``, tuple forms included."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted({
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        for kind in node.args[1:]
+        for name in (kind.elts if isinstance(kind, ast.Tuple) else [kind])
+        if getattr(name, "id", None) in ("int", "bool")
+    })
+
+
+def test_ids_are_exact_ints():
+    # Vertex ids and colours are checked as ``type(x) is int`` everywhere: an
+    # isinstance test lets bools or int subclasses such as IntEnum members through.
+    sources = sorted((ROOT / "src" / "eqcolor").glob("*.py"))
+    assert len(sources) > 5
+    assert [hit for path in sources for hit in int_type_checks(path)] == []
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,13 @@ from oracles import (
     greedy_peel,
     partition_exists_by_permutations,
 )
+
+
+class _V(IntEnum):
+    A = 0
+    B = 1
+    C = 2
+    D = 3
 
 
 def path(n):
@@ -108,6 +116,12 @@ class TestVerify:
         assert not verdict.valid
         assert verdict.violation.kind == "structure"
         assert verdict.violation.message == "layer 2 contains invalid vertex True"
+        # Nor is an int subclass: the colouring built on it would fail its own verifier.
+        g = Graph(4, [(0, 1), (2, 3)])
+        verdict = verify_kd_partition(g, KdPartition(2, 1, [[_V.A, _V.B], [_V.C, _V.D]]))
+        assert not verdict.valid
+        assert verdict.violation.kind == "structure"
+        assert verdict.violation.message == "layer 1 contains invalid vertex <_V.A: 0>"
 
     def test_duplicate_vertex(self):
         g = Graph(3)

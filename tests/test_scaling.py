@@ -1,0 +1,68 @@
+"""Doubling gates for the document stages: parse, build and write.
+
+Each stage runs on two 3-D grids, 10x10x10 and 10x20x20, so n grows by 4x
+and the edge and list rows with it. The measure is the stage's
+``tracemalloc`` peak, which is the same on every run for a fixed input,
+so the gate needs no timing. A linear stage reads a ratio near 4; a
+quadratic one would read about 16.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from random import Random
+
+import pytest
+
+from eqcolor import Graph, ListAssignment, NamedGraph, make_grid
+from eqcolor.fileio import dump, graph_to_obj, lists_to_obj, parse_graph_document, parse_lists
+
+SIZES = [(10, 10, 10), (10, 20, 20)]
+MAX_RATIO = 5.0
+
+
+def _inputs(dims):
+    g, _ = make_grid(dims)
+    lists = ListAssignment.uniform_random(g.n, 4, 8, Random(6))
+    return {
+        "graph": g,
+        "edges": g.edges(),
+        "lists": lists,
+        "graph_text": dump(graph_to_obj(NamedGraph(g))),
+        "lists_text": dump(lists_to_obj(lists)),
+    }
+
+
+STAGES = {
+    "dump-graph": lambda x: dump(graph_to_obj(NamedGraph(x["graph"]))),
+    "dump-lists": lambda x: dump(lists_to_obj(x["lists"])),
+    "parse_graph_document": lambda x: parse_graph_document(x["graph_text"]),
+    "parse_lists": lambda x: parse_lists(x["lists_text"]),
+    "Graph": lambda x: Graph(x["graph"].n, x["edges"]),
+}
+
+
+@pytest.fixture(scope="module")
+def instances():
+    return [_inputs(dims) for dims in SIZES]
+
+
+def _peak(stage, x) -> int:
+    """Bytes at the ``tracemalloc`` peak of one call of ``stage`` on ``x``."""
+    # CPython hands out small tuples (sizes 1-19, up to 2,000 each) from free
+    # lists that tracemalloc never sees; holding that many empties them, so
+    # every tuple the stage makes is traced at both sizes alike.
+    spare = [(i,) * size for size in range(1, 20) for i in range(2_000)]  # noqa: F841
+    tracemalloc.start()
+    try:
+        stage(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_document_stage_memory_grows_linearly(name, instances):
+    small, big = (_peak(STAGES[name], x) for x in instances)
+    ratio = big / small
+    assert 2.0 <= ratio <= MAX_RATIO, (name, small, big)
