@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import countOf
+from itertools import chain, compress, filterfalse, repeat
+from operator import contains, countOf
 from random import Random
 
 from .errors import InputError, InvariantError
@@ -198,8 +198,13 @@ class AlgorithmState:
     room reaches 0, which is the (d-1)-degeneracy rule of the paper; the
     block exclusion and modify_colour_lists remove colours outright.
     Lists only shrink, so a colour that has left never returns, and a
-    coloured vertex's dict is never read again. k and d come from a
-    partition that verify_kd_partition passed, so both are positive.
+    coloured vertex's dict is never read again. A dict is built from a
+    sorted list and only loses keys, so its first key is its smallest
+    colour. later[v] holds the neighbours v's colour prunes:
+    equitable_coloring passes its partition's plan, those coloured after
+    v; the default, the whole adjacency, is as correct and only slower.
+    k and d come from a partition that verify_kd_partition passed, so
+    both are positive.
     """
 
     def __init__(
@@ -210,6 +215,7 @@ class AlgorithmState:
         d: int,
         *,
         rng: Random | None = None,
+        later: Sequence[tuple[int, ...]] | None = None,
     ) -> None:
         n = graph.n
         given = lists._lists
@@ -224,6 +230,21 @@ class AlgorithmState:
         self.lists: list[dict[int, int]] = working
         self.colors: dict[int, int] = {}
         self.rng = rng
+        self.later = graph._adj if later is None else later
+
+
+def _later_neighbours(g: Graph, layers: list[list[int]]) -> list[tuple[int, ...]]:
+    """Each vertex's neighbours after it in the processing order (the layers
+    in order, each reversed), in id order: those a walk of the layers from
+    last to first, each from first to last, has seen before reaching it."""
+    adj = g._adj
+    later: list[tuple[int, ...]] = [()] * g.n
+    seen: set[int] = set()
+    for layer in reversed(layers):
+        for v in layer:
+            later[v] = tuple(filter(seen.__contains__, adj[v]))
+            seen.add(v)
+    return later
 
 
 def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -> None:
@@ -236,16 +257,17 @@ def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -
     the paper's bound at position i + 1 of a block, raises InvariantError;
     every floor is at least 1.
 
-    Each vertex v takes the smallest colour c left in its list (or a
-    seeded-uniform one when the state carries an rng), and each
-    uncoloured neighbour w still holding c loses one unit of c's room,
-    and c itself once that room is used up, so v joins its class with at
-    most d - 1 earlier same-coloured neighbours. Hits on colours that have
-    left a list are not counted: they could never prune.
+    Each vertex v takes the smallest colour c left in its list, the
+    dict's first key (or a seeded-uniform one when the state carries an
+    rng), and each neighbour w in state.later[v] (uncoloured, so not
+    tested) still holding c loses one unit of c's room, and c itself
+    once that room is used up, so v joins its class with at most d - 1
+    earlier same-coloured neighbours. Hits on colours that have left a
+    list are not counted: they could never prune.
     """
     if not vertices:
         return
-    lists, colors, adj, rng = state.lists, state.colors, state.graph._adj, state.rng
+    lists, colors, later, rng = state.lists, state.colors, state.later, state.rng
     p = len(floors)
     for start in range(0, len(vertices), p):
         used: list[int] = []
@@ -262,18 +284,17 @@ def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -
                              "t": state.t, "k": state.k, "d": state.d,
                              "position": len(used) + 1, "size": len(lv), "floor": floor},
                 )
-            c = min(lv) if rng is None else rng.choice(sorted(lv))
+            c = next(iter(lv)) if rng is None else rng.choice(list(lv))
             colors[v] = c
             used.append(c)
-            for w in adj[v]:
-                if w not in colors:
-                    lw = lists[w]
-                    if c in lw:
-                        room = lw[c]
-                        if room == 1:
-                            del lw[c]
-                        else:
-                            lw[c] = room - 1
+            for w in later[v]:
+                lw = lists[w]
+                if c in lw:
+                    room = lw[c]
+                    if room == 1:
+                        del lw[c]
+                    else:
+                        lw[c] = room - 1
 
 
 def reorder(s_col: list[int], colors: Mapping[int, int], k: int) -> list[int]:
@@ -332,11 +353,14 @@ def modify_colour_lists(
     """
     if r == 0:
         return
+    lists, colors = state.lists, state.colors
     for i in range(len(rest) // gamma_k):
-        block_colors = {state.colors[v] for v in s_col[i * r : (i + 1) * r]}
+        block_colors = {colors[v] for v in s_col[i * r : (i + 1) * r]}
         for v in rest[i * gamma_k : (i + 1) * gamma_k]:
+            lv = lists[v]
             for c in block_colors:
-                state.lists[v].pop(c, None)
+                if c in lv:
+                    del lv[c]
 
 
 def _check_decomposition(
@@ -382,22 +406,27 @@ def equitable_coloring(
     A RunTrace passed as trace is filled with intermediate artifacts.
 
     The partition is verified unless a passing verify_kd_partition has
-    stamped it with this very g and its current k, d and layers.
+    stamped it with this very g and its current k, d and layers; the
+    first colouring adds the plan (each vertex's later neighbours) to
+    the stamp, and later list draws reuse it.
     Raises InputError when the partition does not verify, the lists do
     not cover the graph, or t < k; raises InvariantError if an internal
     invariant fails (which signals invalid input rather than bad luck).
     """
     stamp = p._verified
-    if stamp is None or stamp[0] is not g or stamp[1:] != (p.k, p.d, p.layers):
+    if stamp is None or stamp[0] is not g or stamp[1:4] != (p.k, p.d, p.layers):
         verdict = verify_kd_partition(g, p)
         if not verdict.valid:
             assert verdict.violation is not None
             raise InputError(f"partition does not verify: {verdict.violation.message}")
+        stamp = p._verified
+    if stamp[4] is None:
+        p._verified = stamp = stamp[:4] + (_later_neighbours(g, p.layers),)
     t = lists.t
     c = compute_counters(g.n, t, p.k)
     order = list(chain.from_iterable(map(reversed, p.layers)))  # each layer reversed
     rng = None if seed is None else Random(seed)
-    state = AlgorithmState(g, lists, p.k, p.d, rng=rng)
+    state = AlgorithmState(g, lists, p.k, p.d, rng=rng, later=stamp[4])
     if trace is not None:
         trace.counters = c
         trace.order = list(order)
@@ -434,38 +463,41 @@ def verify_equitable_list_coloring(
 
     Clause order: every vertex coloured (domain), colours drawn from the
     original lists, class sizes at most ceil(n/t), every class induces a
-    (d-1)-degenerate subgraph. The last clause is one O(n+m) peel of the
-    monochromatic edges, which form the disjoint union of the class
-    subgraphs: vertices with at most d-1 unpeeled same-coloured
-    neighbours are peeled, and the smallest colour left unpeeled is the
-    first failing class.
+    (d-1)-degenerate subgraph. The domain and list clauses are C-level
+    passes that name the first offending vertex. The last clause is one
+    O(n+m) peel of the monochromatic edges, which form the disjoint union
+    of the class subgraphs: vertices with at most d-1 unpeeled
+    same-coloured neighbours are peeled, and the smallest colour left
+    unpeeled is the first failing class. The peel visits only vertices
+    with a same-coloured neighbour; the others move no count.
     """
     if t < 1 or d < 1:
         raise InputError("t and d must be positive")
     colors = coloring.colors
     n = g.n
-    for v in range(n):
-        if v not in colors:
-            return ColoringVerdict(
-                False, ColoringViolation("domain", f"vertex {v} is uncoloured", vertex=v)
-            )
+    missing = next(filterfalse(colors.__contains__, range(n)), None)
+    if missing is not None:
+        return ColoringVerdict(
+            False, ColoringViolation("domain", f"vertex {missing} is uncoloured", vertex=missing)
+        )
     if len(colors) != n or not set(map(type, colors)) <= {int}:
         foreign = next(v for v in colors if type(v) is not int or v not in range(n))
         return ColoringVerdict(
             False,
             ColoringViolation("domain", f"vertex {foreign!r} is not in the graph", vertex=foreign),
         )
-    col = [colors[v] for v in range(n)]
+    col = list(map(colors.__getitem__, range(n)))
     given = lists._lists
     exact = set(map(type, col)) <= {int}  # else a True or 1.0 would pass as 1
-    for v, c in enumerate(col):
-        if c not in given.get(v, ()) or not exact and type(c) is not int:
-            return ColoringVerdict(
-                False,
-                ColoringViolation(
-                    "list", f"vertex {v} wears colour {c} outside its list", vertex=v, color=c
-                ),
-            )
+    if not (exact and all(map(contains, map(given.get, range(n), repeat(())), col))):
+        v = next(v for v, c in enumerate(col) if c not in given.get(v, ()) or type(c) is not int)
+        c = col[v]
+        return ColoringVerdict(
+            False,
+            ColoringViolation(
+                "list", f"vertex {v} wears colour {c} outside its list", vertex=v, color=c
+            ),
+        )
     cap = math.ceil(n / t)
     sizes = Counter(col)
     oversized = [c for c, size in sizes.items() if size > cap]
@@ -481,8 +513,9 @@ def verify_equitable_list_coloring(
     limit = d - 1
     # same[v] = countOf(map(col.__getitem__, adj[v]), col[v]), all in C.
     same = list(map(countOf, map(map, repeat(col.__getitem__), adj), col))
+    tied = list(compress(range(n), same))  # the vertices with a same-coloured neighbour
     peeled = [s <= limit for s in same]
-    stack = [v for v in range(n) if peeled[v]]
+    stack = [v for v in tied if peeled[v]]
     for v in stack:  # grows while it is walked
         c = col[v]
         for w in adj[v]:
@@ -491,8 +524,8 @@ def verify_equitable_list_coloring(
                 if same[w] == limit:
                     peeled[w] = True
                     stack.append(w)
-    if len(stack) < n:
-        colour = min(col[v] for v in range(n) if not peeled[v])
+    if len(stack) < len(tied):
+        colour = min(col[v] for v in tied if not peeled[v])
         return ColoringVerdict(
             False,
             ColoringViolation(

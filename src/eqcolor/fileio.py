@@ -77,13 +77,16 @@ def _graph_from_obj(doc: dict[str, Any]) -> Graph:
     edges_obj = doc["edges"]
     if not isinstance(edges_obj, list):
         raise ParseError("'edges' must be a list of pairs")
-    if not (_int_rows(edges_obj) and set(map(len, edges_obj)) <= {2}):
-        for item in edges_obj:
-            if not isinstance(item, list) or len(item) != 2:
-                raise ParseError(f"edge {item!r} is not a pair")
-            for end in item:
-                _as_int(end, "edge endpoint")
-    return _built("graph document", Graph, n, edges_obj)
+    try:  # Graph tests the endpoints' types in bulk
+        return Graph(n, edges_obj)
+    except EqcolorError as exc:
+        error = exc
+    for item in edges_obj:  # a malformed edge outranks what Graph reported
+        if not isinstance(item, list) or len(item) != 2:
+            raise ParseError(f"edge {item!r} is not a pair")
+        for end in item:
+            _as_int(end, "edge endpoint")
+    raise ParseError(f"graph document rejected: {error}") from error
 
 
 def _parse_dimacs(text: str) -> Graph:

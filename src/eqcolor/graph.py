@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 from operator import ne
 
 from .errors import InputError
+
+
+def _int_pairs(edges: list) -> bool:
+    """Every edge has two endpoints and each is exactly an int (not a bool)."""
+    try:
+        return set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}
+    except TypeError:  # an edge with no length, or one that cannot be iterated
+        return False
 
 
 class Graph:
@@ -24,6 +33,10 @@ class Graph:
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         self.n = n
+        edges = edges if type(edges) is list else list(edges)
+        if not _int_pairs(edges):  # one bulk test; only a failure walks the edges
+            bad = next(e for e in edges if not _int_pairs([e]))
+            raise InputError(f"edge {bad!r} is not a pair of int vertex ids")
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

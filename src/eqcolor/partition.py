@@ -25,13 +25,15 @@ class KdPartition:
 
     A passing verify_kd_partition stamps the partition with the graph and
     a copy of (k, d, layers); equitable_coloring skips the check while the
-    stamp still matches.
+    stamp still matches. The stamp's last slot is the colouring plan, each
+    vertex's later neighbours, which the first colouring fills in, so a
+    changed partition or another graph drops it with the stamp.
     """
 
     k: int
     d: int
     layers: list[list[int]]
-    _verified: tuple[Graph, int, int, list[list[int]]] | None = field(
+    _verified: tuple[Graph, int, int, list[list[int]], list[tuple[int, ...]] | None] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -125,7 +127,7 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
                         ),
                     )
         earlier.update(layer)
-    p._verified = (g, k, d, [list(layer) for layer in p.layers])
+    p._verified = (g, k, d, [list(layer) for layer in p.layers], None)
     return PartitionVerdict(True)
 
 

@@ -30,7 +30,13 @@ from eqcolor import (
     verify_equitable_list_coloring,
     verify_kd_partition,
 )
-from eqcolor.coloring import AlgorithmState, colour_list, modify_colour_lists, reorder
+from eqcolor.coloring import (
+    AlgorithmState,
+    _later_neighbours,
+    colour_list,
+    modify_colour_lists,
+    reorder,
+)
 from eqcolor.graph import induced_subgraph
 from oracles import (
     brute_force_equitable_coloring,
@@ -640,6 +646,19 @@ class TestVerifyOnce:
                 equitable_coloring(g, p, lists)
         assert len(calls) == 2
 
+    def test_changed_layers_rebuild_the_plan(self, calls):
+        g, p, _ = self.path_case()
+        # With [[0, 1], [3, 2]]'s plan kept, vertex 1 would take colour 1.
+        lists = ListAssignment(2, {0: [1, 2], 1: [1, 2], 2: [1, 2], 3: [2, 3]})
+        equitable_coloring(g, p, lists)
+        p.layers = [[2, 3], [0, 1]]
+        assert verify_kd_partition(g, p).valid
+        fresh = equitable_coloring(g, KdPartition(2, 1, [[2, 3], [0, 1]]), lists)
+        assert fresh.colors == {0: 1, 1: 2, 2: 1, 3: 2}
+        assert equitable_coloring(g, p, lists) == fresh
+        assert p._verified[4] == _later_neighbours(g, p.layers)
+        assert len(calls) == 2  # p's first colouring and the fresh partition's
+
     def test_stamp_is_invisible(self):
         g, p, _ = self.path_case()
         before = repr(p)
@@ -647,6 +666,43 @@ class TestVerifyOnce:
         assert p._verified is not None
         assert p == KdPartition(p.k, p.d, p.layers)
         assert repr(p) == before
+
+
+class TestPlan:
+    """The cached plan holds each vertex's neighbours after it in the processing order."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(1919)
+        for _ in range(20):
+            n, k, d = rng.randint(5, 80), rng.randint(1, 4), rng.randint(1, 3)
+            bundle = gen_planted_partition(n, k, d, seed=rng.randrange(2**30))
+            yield bundle.graph, bundle.partition
+        for dims in [(2, 3, 4), (3, 3, 3), (4, 3, 5)]:
+            yield make_grid(dims)[0], partition3d(dims)
+
+    def test_later_neighbours_follow_the_processing_order(self):
+        for g, p in self.cases():
+            order = list(itertools.chain.from_iterable(map(reversed, p.layers)))
+            index = {v: i for i, v in enumerate(order)}
+            expected = [tuple(w for w in g.neighbors(v) if index[w] > index[v]) for v in range(g.n)]
+            assert _later_neighbours(g, p.layers) == expected
+            equitable_coloring(g, p, ListAssignment.uniform_random(g.n, p.k, 2 * p.k, random.Random(1)))
+            assert p._verified[4] == expected  # the colouring cached the same plan
+
+    def test_full_adjacency_gives_the_same_colourings(self, monkeypatch):
+        # Pruning a coloured neighbour's list changes nothing that is read again.
+        import eqcolor.coloring
+
+        built = []
+
+        def full_adjacency(g, layers):
+            built.append(g)
+            return g._adj
+
+        monkeypatch.setattr(eqcolor.coloring, "_later_neighbours", full_adjacency)
+        test_colourings_match_the_pinned_digest()
+        assert len(built) == 34  # one plan per pinned graph, reused by its 12 runs
 
 
 class TestVerifier:
@@ -726,6 +782,41 @@ class TestVerifier:
         assert verdict.violation.clause == "list"
         assert verdict.violation.vertex == 0
         assert type(verdict.violation.color) is type(colour)
+
+    def test_first_uncoloured_vertex_is_named(self):
+        g = path(5)
+        lists = ListAssignment(2, {v: [1, 2] for v in range(5)})
+        verdict = verify_equitable_list_coloring(g, lists, 2, Coloring({0: 1, 2: 1, 4: 1}), 1)
+        assert (verdict.violation.clause, verdict.violation.vertex) == ("domain", 1)
+
+    @pytest.mark.parametrize(
+        "colors, vertex, colour",
+        [
+            ({0: 1, 1: 9, 2: 8, 3: 1, 4: 7}, 1, 9),
+            ({0: 1, 1: 2, 2: True, 3: 9, 4: 1.0}, 2, True),
+            ({0: 1, 1: 2, 2: 1, 3: 9, 4: True}, 3, 9),
+            ({0: 5, 1: 2, 2: 1, 3: 2, 4: 6}, 0, 5),
+        ],
+    )
+    def test_first_colour_outside_its_list_is_named(self, colors, vertex, colour):
+        g = path(5)
+        lists = ListAssignment(2, {v: [1, 2] for v in range(5)})
+        verdict = verify_equitable_list_coloring(g, lists, 2, Coloring(colors), 1)
+        violation = verdict.violation
+        assert (violation.clause, violation.vertex, violation.color) == ("list", vertex, colour)
+        assert type(violation.color) is type(colour)
+
+    def test_smallest_failing_class_is_reported_among_loners(self):
+        # Two triangles fail d = 2: vertices 0-2 wear 5, vertices 4-6 wear 3.
+        # Vertices 3 and 7-9 have no neighbour of their own colour.
+        edges = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)]
+        edges += [(2, 3), (3, 4), (6, 7), (7, 8), (8, 9), (9, 0)]
+        g = Graph(10, edges)
+        colors = {0: 5, 1: 5, 2: 5, 3: 1, 4: 3, 5: 3, 6: 3, 7: 2, 8: 4, 9: 2}
+        lists = ListAssignment(3, {v: [c, 6, 7] for v, c in colors.items()})
+        verdict = verify_equitable_list_coloring(g, lists, 3, Coloring(colors), 2)
+        assert (verdict.violation.clause, verdict.violation.color) == ("degeneracy", 3)
+        assert verdict == verify_coloring_by_classes(g, lists, 3, Coloring(colors), 2)
 
     def test_domain_reported_before_list(self):
         g, lists, _ = self.make_valid()

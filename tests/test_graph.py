@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from enum import IntEnum
 from random import Random
 
 import pytest
@@ -22,6 +23,10 @@ from oracles import (
     degenerate_by_peeling,
     degenerate_by_subsets,
 )
+
+
+class _Id(IntEnum):
+    ZERO = 0
 
 
 def path(n: int) -> Graph:
@@ -72,6 +77,16 @@ class TestGraph:
         with pytest.raises(InputError):
             g = Graph(2, [])
             g.neighbors(5)
+
+    @pytest.mark.parametrize(
+        "bad", [(True, 0), (0, False), (_Id.ZERO, 1), (0.0, 1), ("0", 1), (0, None), (0, 1, 2), (1,), 5, "01"]
+    )
+    def test_endpoints_must_be_exact_ints(self, bad):
+        # The first offending edge is named even after an out-of-range one.
+        for edges in ([(0, 1), bad, (True, 2)], [(0, 9), bad], iter([(1, 2), bad])):
+            with pytest.raises(InputError) as info:
+                Graph(3, edges)
+            assert str(info.value) == f"edge {bad!r} is not a pair of int vertex ids"
 
     def test_symmetry(self):
         rng = Random(5)

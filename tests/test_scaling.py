@@ -1,4 +1,5 @@
-"""Doubling gates for the document stages: parse, build and write.
+"""Doubling gates for the document stages (parse, build and write), the
+colouring verifier and the colouring plan's build.
 
 Each stage runs on two 3-D grids, 10x10x10 and 10x20x20, so n grows by 4x
 and the edge and list rows with it. The measure is the stage's
@@ -14,7 +15,16 @@ from random import Random
 
 import pytest
 
-from eqcolor import Graph, ListAssignment, NamedGraph, make_grid
+from eqcolor import (
+    Graph,
+    ListAssignment,
+    NamedGraph,
+    equitable_coloring,
+    make_grid,
+    partition3d,
+    verify_equitable_list_coloring,
+)
+from eqcolor.coloring import _later_neighbours
 from eqcolor.fileio import dump, graph_to_obj, lists_to_obj, parse_graph_document, parse_lists
 
 SIZES = [(10, 10, 10), (10, 20, 20)]
@@ -23,11 +33,14 @@ MAX_RATIO = 5.0
 
 def _inputs(dims):
     g, _ = make_grid(dims)
+    p = partition3d(dims)
     lists = ListAssignment.uniform_random(g.n, 4, 8, Random(6))
     return {
         "graph": g,
+        "partition": p,
         "edges": g.edges(),
         "lists": lists,
+        "coloring": equitable_coloring(g, p, lists),
         "graph_text": dump(graph_to_obj(NamedGraph(g))),
         "lists_text": dump(lists_to_obj(lists)),
     }
@@ -39,6 +52,10 @@ STAGES = {
     "parse_graph_document": lambda x: parse_graph_document(x["graph_text"]),
     "parse_lists": lambda x: parse_lists(x["lists_text"]),
     "Graph": lambda x: Graph(x["graph"].n, x["edges"]),
+    "verify_equitable_list_coloring": lambda x: verify_equitable_list_coloring(
+        x["graph"], x["lists"], 4, x["coloring"], 2
+    ),
+    "plan": lambda x: _later_neighbours(x["graph"], x["partition"].layers),
 }
 
 
