@@ -47,12 +47,12 @@ class Counters:
 
 def compute_counters(n: int, t: int, k: int) -> Counters:
     """Derive every block size the pipeline needs from (n, t, k)."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise InputError("graph must have at least one vertex")
-    if k < 1:
-        raise InputError(f"k must be positive, got {k}")
-    if t < k:
-        raise InputError(f"uniform list size t={t} must be at least k={k}")
+    if type(k) is not int or k < 1:
+        raise InputError(f"k must be positive, got {k!r}")
+    if type(t) is not int or t < k:
+        raise InputError(f"uniform list size t={t!r} must be at least k={k}")
     eta = math.ceil(n / k) - 1
     r1 = n - eta * k
     beta = math.ceil(n / t) - 1
@@ -68,8 +68,8 @@ class ListAssignment:
     __slots__ = ("t", "_lists")
 
     def __init__(self, t: int, lists: Mapping[int, Iterable[int]]) -> None:
-        if t < 1:
-            raise InputError(f"t must be positive, got {t}")
+        if type(t) is not int or t < 1:
+            raise InputError(f"t must be positive, got {t!r}")
         if not set(map(type, lists)) <= {int}:
             key = next(v for v in lists if type(v) is not int)
             raise InputError(f"list key {key!r} is not a vertex id")
@@ -120,10 +120,10 @@ class ListAssignment:
         The lists are the draws of rng.sample(range(1, palette + 1), t) in
         vertex order, and rng ends in the same state.
         """
-        if t < 1:
-            raise InputError(f"t must be positive, got {t}")
-        if palette < t:
-            raise InputError(f"palette size {palette} is below t={t}")
+        if type(t) is not int or t < 1:
+            raise InputError(f"t must be positive, got {t!r}")
+        if type(palette) is not int or palette < t:
+            raise InputError(f"palette size {palette!r} is below t={t}")
         lists: dict[int, tuple[int, ...]] = {}
         setsize = 21 + (4 ** math.ceil(math.log(t * 3, 4)) if t > 5 else 0)
         if (
@@ -201,8 +201,7 @@ class AlgorithmState:
     coloured vertex's dict is never read again. A dict is built from a
     sorted list and only loses keys, so its first key is its smallest
     colour. later[v] holds the neighbours v's colour prunes:
-    equitable_coloring passes its partition's plan, those coloured after
-    v; the default, the whole adjacency, is as correct and only slower.
+    equitable_coloring passes its partition's plan, those coloured after v.
     k and d come from a partition that verify_kd_partition passed, so
     both are positive.
     """
@@ -215,7 +214,7 @@ class AlgorithmState:
         d: int,
         *,
         rng: Random | None = None,
-        later: Sequence[tuple[int, ...]] | None = None,
+        later: Sequence[tuple[int, ...]],
     ) -> None:
         n = graph.n
         given = lists._lists
@@ -230,7 +229,7 @@ class AlgorithmState:
         self.lists: list[dict[int, int]] = working
         self.colors: dict[int, int] = {}
         self.rng = rng
-        self.later = graph._adj if later is None else later
+        self.later = later
 
 
 def _later_neighbours(g: Graph, layers: list[list[int]]) -> list[tuple[int, ...]]:
@@ -471,7 +470,7 @@ def verify_equitable_list_coloring(
     unpeeled is the first failing class. The peel visits only vertices
     with a same-coloured neighbour; the others move no count.
     """
-    if t < 1 or d < 1:
+    if type(t) is not int or t < 1 or type(d) is not int or d < 1:
         raise InputError("t and d must be positive")
     colors = coloring.colors
     n = g.n

@@ -24,32 +24,15 @@ from .partition import KdPartition
 
 
 def _as_int(value: Any, what: str) -> int:
+    """``value`` if exactly an int; the readers' walks call it only to word a failed item."""
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _exact_ints(values: Any, n: int | None = None) -> bool:
-    """Every value is exactly an int (not a bool) and, given n, in 0..n-1. A block
-    that fails takes its per-item loop, which raises at the first bad item with
-    that item's message; on json.loads output that loop always finds one."""
-    ints = set(map(type, values)) <= {int}
-    return ints and (n is None or min(values, default=0) >= 0 and max(values, default=-1) < n)
-
-
-def _int_rows(rows: Any, n: int | None = None) -> bool:
-    """Every row is a list or tuple of exact ints, in 0..n-1 given n."""
-    flat = chain.from_iterable(rows)
-    return set(map(type, rows)) <= {list, tuple} and _exact_ints(flat if n is None else list(flat), n)
-
-
-def _by_vertex(obj: dict[str, Any]) -> dict[int, Any] | None:
-    """``obj`` keyed by ``int(key)``; None if a key is not an id or two name one vertex."""
-    try:
-        out = dict(zip(map(int, obj), obj.values()))
-    except ValueError:
-        return None
-    return out if len(out) == len(obj) else None
+def _int_rows(rows: Any) -> bool:
+    """Every row is a list or tuple of exact ints."""
+    return set(map(type, rows)) <= {list, tuple} and set(map(type, chain.from_iterable(rows))) <= {int}
 
 
 def _built(what: str, make: Callable[..., Any], *args: Any) -> Any:
@@ -145,11 +128,11 @@ def parse_graph_document(text: str) -> NamedGraph:
         names_obj = doc["names"]
         if not isinstance(names_obj, dict):
             raise ParseError("'names' must be an object")
-        if not _exact_ints(names_obj.values(), graph.n):
-            for label, vid in names_obj.items():
-                v = _as_int(vid, f"name {label!r}")
-                if not 0 <= v < graph.n:
-                    raise ParseError(f"name {label!r} points at missing vertex {v}")
+        n = graph.n
+        for label, v in names_obj.items():
+            if type(v) is not int or not 0 <= v < n:
+                _as_int(v, f"name {label!r}")
+                raise ParseError(f"name {label!r} points at missing vertex {v}")
         names = names_obj
     partition = None
     if "partition" in doc:
@@ -171,17 +154,16 @@ def _partition_from_obj(obj: Any, n: int | None = None) -> KdPartition:
     layers_obj = obj["layers"]
     if not isinstance(layers_obj, list):
         raise ParseError("'layers' must be a list")
-    if not _int_rows(layers_obj, n):
-        for idx, layer in enumerate(layers_obj, start=1):
-            if not isinstance(layer, list):
-                raise ParseError(f"layer {idx} is not a list", context={"layer": idx})
-            for item in layer:
-                v = _as_int(item, f"vertex in layer {idx}")
-                if n is not None and not 0 <= v < n:
-                    raise ParseError(
-                        f"layer {idx} references missing vertex {v}",
-                        context={"layer": idx, "vertex": v},
-                    )
+    for idx, layer in enumerate(layers_obj, start=1):
+        if not isinstance(layer, list):
+            raise ParseError(f"layer {idx} is not a list", context={"layer": idx})
+        for v in layer:
+            if type(v) is not int or n is not None and not 0 <= v < n:
+                _as_int(v, f"vertex in layer {idx}")
+                raise ParseError(
+                    f"layer {idx} references missing vertex {v}",
+                    context={"layer": idx, "vertex": v},
+                )
     return _built("partition document", KdPartition, k, d, layers_obj)
 
 
@@ -201,19 +183,20 @@ def _lists_from_obj(obj: Any) -> ListAssignment:
     lists_obj = obj["lists"]
     if not isinstance(lists_obj, dict):
         raise ParseError("'lists' must be an object keyed by vertex")
-    lists = _by_vertex(lists_obj) if _int_rows(lists_obj.values()) else None
-    if lists is None:
-        lists = {}
-        for key, value in lists_obj.items():
-            try:
-                v = int(key)
-            except (TypeError, ValueError):
-                raise ParseError(f"list key {key!r} is not a vertex id") from None
-            if v in lists:
-                raise ParseError(f"list key {key!r} repeats vertex {v}", context={"vertex": v})
-            if not isinstance(value, list):
-                raise ParseError(f"list of vertex {v} is not a list", context={"vertex": v})
-            lists[v] = [_as_int(c, f"colour of vertex {v}") for c in value]
+    lists: dict[int, list[Any]] = {}
+    for key, value in lists_obj.items():
+        try:
+            v = int(key)
+        except (TypeError, ValueError):
+            raise ParseError(f"list key {key!r} is not a vertex id") from None
+        if v in lists:
+            raise ParseError(f"list key {key!r} repeats vertex {v}", context={"vertex": v})
+        if not isinstance(value, list):
+            raise ParseError(f"list of vertex {v} is not a list", context={"vertex": v})
+        for c in value:
+            if type(c) is not int:
+                _as_int(c, f"colour of vertex {v}")
+        lists[v] = value
     return _built("lists document", ListAssignment, t, lists)
 
 
@@ -233,17 +216,17 @@ def parse_coloring(text: str) -> Coloring:
     colors_obj = doc["colors"]
     if not isinstance(colors_obj, dict):
         raise ParseError("'colors' must be an object keyed by vertex")
-    colors = _by_vertex(colors_obj) if _exact_ints(colors_obj.values()) else None
-    if colors is None:
-        colors = {}
-        for key, value in colors_obj.items():
-            try:
-                v = int(key)
-            except (TypeError, ValueError):
-                raise ParseError(f"colour key {key!r} is not a vertex id") from None
-            if v in colors:
-                raise ParseError(f"colour key {key!r} repeats vertex {v}", context={"vertex": v})
-            colors[v] = _as_int(value, f"colour of vertex {v}")
+    colors: dict[int, int] = {}
+    for key, value in colors_obj.items():
+        try:
+            v = int(key)
+        except (TypeError, ValueError):
+            raise ParseError(f"colour key {key!r} is not a vertex id") from None
+        if v in colors:
+            raise ParseError(f"colour key {key!r} repeats vertex {v}", context={"vertex": v})
+        if type(value) is not int:
+            _as_int(value, f"colour of vertex {v}")
+        colors[v] = value
     return Coloring(colors)
 
 

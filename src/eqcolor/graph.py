@@ -30,8 +30,8 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
-            raise InputError(f"vertex count must be non-negative, got {n}")
+        if type(n) is not int or n < 0:
+            raise InputError(f"vertex count must be non-negative, got {n!r}")
         self.n = n
         edges = edges if type(edges) is list else list(edges)
         if not _int_pairs(edges):  # one bulk test; only a failure walks the edges

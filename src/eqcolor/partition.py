@@ -38,11 +38,16 @@ class KdPartition:
     )
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InputError(f"k must be positive, got {self.k}")
-        if self.d < 1:
-            raise InputError(f"d must be positive, got {self.d}")
-        self.layers = [list(layer) for layer in self.layers]
+        if type(self.k) is not int or self.k < 1:
+            raise InputError(f"k must be positive, got {self.k!r}")
+        if type(self.d) is not int or self.d < 1:
+            raise InputError(f"d must be positive, got {self.d!r}")
+        layers = []
+        for layer in self.layers:
+            if not isinstance(layer, (list, tuple)):
+                raise InputError(f"layer {layer!r} is not a list or tuple")
+            layers.append(list(layer))
+        self.layers = layers
 
     @property
     def eta(self) -> int:
@@ -78,8 +83,8 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
     attached to the verdict. A pass stamps p (see KdPartition).
     """
     k, d = p.k, p.d
-    if k < 1 or d < 1:  # fields may be reassigned after construction
-        return _structure(f"k and d must be positive, got k={k}, d={d}")
+    if type(k) is not int or k < 1 or type(d) is not int or d < 1:  # fields may be reassigned
+        return _structure(f"k and d must be positive, got k={k!r}, d={d!r}")
     n = g.n
     expected_layers = math.ceil(n / k) if n else 0
     if len(p.layers) != expected_layers:
@@ -218,7 +223,7 @@ def search_kd_partition(
     bounds it.  PROVED_ABSENT is returned only when the whole space was
     covered, BUDGET_EXHAUSTED when the count ran out first.
     """
-    if k < 1 or d < 1:
+    if type(k) is not int or k < 1 or type(d) is not int or d < 1:
         raise InputError("k and d must be positive")
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
@@ -257,7 +262,7 @@ def greedy_kd_partition(g: Graph, k: int, d: int) -> KdPartition | None:
     Returns None as soon as a step's candidates admit no ordering; a
     returned partition always verifies.
     """
-    if k < 1 or d < 1:
+    if type(k) is not int or k < 1 or type(d) is not int or d < 1:
         raise InputError("k and d must be positive")
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
@@ -282,7 +287,7 @@ def enumerate_last_layers(g: Graph, k: int, d: int) -> Iterator[list[int]]:
     Only subsets built around an anchor are tested, as in
     search_kd_partition; layers come in lexicographic order of sorted ids.
     """
-    if k < 1 or d < 1:
+    if type(k) is not int or k < 1 or type(d) is not int or d < 1:
         raise InputError("k and d must be positive")
     if g.n < k:
         raise InputError(f"graph has {g.n} vertices, need at least k={k}")

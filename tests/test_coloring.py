@@ -195,7 +195,9 @@ class TestListAssignment:
 
 class TestColourVertex:
     def make_state(self, g, lists, k=1, d=1, **kw):
-        return AlgorithmState(g, ListAssignment(len(next(iter(lists.values()))), lists), k, d, **kw)
+        return AlgorithmState(
+            g, ListAssignment(len(next(iter(lists.values()))), lists), k, d, later=g._adj, **kw
+        )
 
     def test_picks_smallest_colour(self):
         state = self.make_state(Graph(1), {0: [4, 2, 9]})
@@ -337,7 +339,7 @@ class TestModifyColourLists:
     def setup_state(self):
         g = Graph(8)
         lists = {v: [1, 2, 3, 4] for v in range(8)}
-        return AlgorithmState(g, ListAssignment(4, lists), 2, 1)
+        return AlgorithmState(g, ListAssignment(4, lists), 2, 1, later=g._adj)
 
     def test_each_group_loses_its_block_colours(self):
         state = self.setup_state()
@@ -555,7 +557,7 @@ class TestPipelineBehaviour:
         lists = ListAssignment(2, {v: [1, 2] for v in range(10) if v not in (3, 7)})
         message = "list assignment misses vertex 3"
         with pytest.raises(InputError, match=f"^{message}$"):
-            AlgorithmState(bundle.graph, lists, 2, 2)
+            AlgorithmState(bundle.graph, lists, 2, 2, later=bundle.graph._adj)
         with pytest.raises(InputError, match=f"^{message}$"):
             equitable_coloring(bundle.graph, bundle.partition, lists)
 

@@ -1,4 +1,5 @@
-"""The package's public surface and the bench tracer's hold on its internals."""
+"""The package's public surface, rules its source keeps, and the bench tracer's
+hold on its internals."""
 
 from __future__ import annotations
 
@@ -9,9 +10,26 @@ import time
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import eqcolor
 import eqcolor.cli  # noqa: F401  (the tracer also wraps the command line)
-from eqcolor import ListAssignment, make_grid, partition3d
+from eqcolor import (
+    Coloring,
+    Graph,
+    InputError,
+    KdPartition,
+    ListAssignment,
+    PartitionVerdict,
+    compute_counters,
+    enumerate_last_layers,
+    greedy_kd_partition,
+    make_grid,
+    partition3d,
+    search_kd_partition,
+    verify_equitable_list_coloring,
+    verify_kd_partition,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -80,6 +98,45 @@ def test_every_import_is_used():
     assert [hit for path in sources for hit in unused_imports(path)] == []
 
 
+def private_definitions(path: Path) -> list[tuple[str, str]]:
+    """(name, place) of each module-level def, class or assignment named ``_x``."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        place = f"{path.relative_to(ROOT)}:{node.lineno}"
+        out += [(name, place) for name in names if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def loaded_names(path: Path) -> set[str]:
+    """Names a module reads: loaded names, attribute names and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_helper_is_used():
+    sources = sorted((ROOT / "src" / "eqcolor").glob("*.py"))
+    defined = [hit for path in sources for hit in private_definitions(path)]
+    assert len(defined) > 30
+    used = set().union(*map(loaded_names, sources))
+    assert [f"{place} {name}" for name, place in defined if name not in used] == []
+
+
 def int_type_checks(path: Path) -> list[str]:
     """Lines that call ``isinstance`` against ``int`` or ``bool``, tuple forms included."""
     tree = ast.parse(path.read_text(), str(path))
@@ -99,6 +156,53 @@ def test_ids_are_exact_ints():
     sources = sorted((ROOT / "src" / "eqcolor").glob("*.py"))
     assert len(sources) > 5
     assert [hit for path in sources for hit in int_type_checks(path)] == []
+
+
+def _verify_reassigned(**fields):
+    p = KdPartition(1, 1, [[0]])
+    for name, value in fields.items():
+        setattr(p, name, value)
+    return verify_kd_partition(Graph(1), p)
+
+
+# Every size parameter refuses a bool or a float: kept, such a value would be
+# stored as a size or reach range() and the counters' arithmetic. The
+# partition verifier answers with an invalid verdict instead of raising.
+_SIZE_CALLS = {
+    "Graph-n": lambda x: Graph(x, []),
+    "KdPartition-k": lambda x: KdPartition(x, 1, [[0]]),
+    "KdPartition-d": lambda x: KdPartition(1, x, [[0]]),
+    "verify_kd_partition-k": lambda x: _verify_reassigned(k=x),
+    "verify_kd_partition-d": lambda x: _verify_reassigned(d=x),
+    "compute_counters-n": lambda x: compute_counters(x, 2, 1),
+    "compute_counters-t": lambda x: compute_counters(10, x, 1),
+    "compute_counters-k": lambda x: compute_counters(10, 3, x),
+    "ListAssignment-t": lambda x: ListAssignment(x, {0: list(range(1, int(x) + 1))}),
+    "uniform_random-t": lambda x: ListAssignment.uniform_random(3, x, 4, Random(0)),
+    "uniform_random-palette": lambda x: ListAssignment.uniform_random(3, 1, x, Random(0)),
+    "search_kd_partition-k": lambda x: search_kd_partition(Graph(3), x, 1),
+    "search_kd_partition-d": lambda x: search_kd_partition(Graph(3), 1, x),
+    "greedy_kd_partition-k": lambda x: greedy_kd_partition(Graph(3), x, 1),
+    "greedy_kd_partition-d": lambda x: greedy_kd_partition(Graph(3), 1, x),
+    "enumerate_last_layers-k": lambda x: list(enumerate_last_layers(Graph(3), x, 1)),
+    "enumerate_last_layers-d": lambda x: list(enumerate_last_layers(Graph(3), 1, x)),
+    "verify_equitable_list_coloring-t": lambda x: verify_equitable_list_coloring(
+        Graph(1), ListAssignment(1, {0: [1]}), x, Coloring({0: 1}), 1
+    ),
+    "verify_equitable_list_coloring-d": lambda x: verify_equitable_list_coloring(
+        Graph(1), ListAssignment(1, {0: [1]}), 1, Coloring({0: 1}), x
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize("call", _SIZE_CALLS.values(), ids=list(_SIZE_CALLS))
+def test_size_parameters_are_exact_ints(call, value):
+    try:
+        out = call(value)
+    except InputError:
+        return
+    assert isinstance(out, PartitionVerdict) and not out.valid, out
 
 
 def load_tracer():

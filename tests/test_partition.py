@@ -64,6 +64,11 @@ class TestKdPartition:
         with pytest.raises(InputError):
             KdPartition(1, 0, [[0]])
 
+    def test_a_layer_that_is_not_a_list_or_tuple_is_an_input_error(self):
+        with pytest.raises(InputError, match="^layer 5 is not a list or tuple$"):
+            KdPartition(2, 1, [[0, 1], 5])
+        assert KdPartition(2, 1, [(0, 1), [2]]).layers == [[0, 1], [2]]
+
     def test_layers_are_copied(self):
         raw = [[0], [1, 2]]
         p = KdPartition(2, 1, raw)

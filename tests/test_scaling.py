@@ -1,4 +1,5 @@
 """Doubling gates for the document stages (parse, build and write), the
+grid builders, the partition verifier, list generation, degeneracy, the
 colouring verifier and the colouring plan's build.
 
 Each stage runs on two 3-D grids, 10x10x10 and 10x20x20, so n grows by 4x
@@ -17,32 +18,52 @@ import pytest
 
 from eqcolor import (
     Graph,
+    KdPartition,
     ListAssignment,
     NamedGraph,
+    degeneracy,
     equitable_coloring,
     make_grid,
     partition3d,
     verify_equitable_list_coloring,
+    verify_kd_partition,
 )
 from eqcolor.coloring import _later_neighbours
-from eqcolor.fileio import dump, graph_to_obj, lists_to_obj, parse_graph_document, parse_lists
+from eqcolor.fileio import (
+    coloring_to_obj,
+    dump,
+    graph_to_obj,
+    lists_to_obj,
+    parse_coloring,
+    parse_graph_document,
+    parse_lists,
+    parse_partition,
+    partition_to_obj,
+)
 
 SIZES = [(10, 10, 10), (10, 20, 20)]
 MAX_RATIO = 5.0
 
 
 def _inputs(dims):
-    g, _ = make_grid(dims)
+    g, spec = make_grid(dims)
     p = partition3d(dims)
     lists = ListAssignment.uniform_random(g.n, 4, 8, Random(6))
+    coloring = equitable_coloring(g, p, lists)
+    names = dict(zip(spec.labels(), range(g.n)))  # as `gen grid` writes them
     return {
+        "dims": dims,
         "graph": g,
         "partition": p,
+        "unstamped_partition": KdPartition(p.k, p.d, p.layers),
         "edges": g.edges(),
         "lists": lists,
-        "coloring": equitable_coloring(g, p, lists),
+        "coloring": coloring,
         "graph_text": dump(graph_to_obj(NamedGraph(g))),
+        "named_graph_text": dump(graph_to_obj(NamedGraph(g, names))),
         "lists_text": dump(lists_to_obj(lists)),
+        "partition_text": dump(partition_to_obj(p)),
+        "coloring_text": dump(coloring_to_obj(coloring)),
     }
 
 
@@ -50,8 +71,16 @@ STAGES = {
     "dump-graph": lambda x: dump(graph_to_obj(NamedGraph(x["graph"]))),
     "dump-lists": lambda x: dump(lists_to_obj(x["lists"])),
     "parse_graph_document": lambda x: parse_graph_document(x["graph_text"]),
+    "parse_graph_document-names": lambda x: parse_graph_document(x["named_graph_text"]),
     "parse_lists": lambda x: parse_lists(x["lists_text"]),
+    "parse_partition": lambda x: parse_partition(x["partition_text"]),
+    "parse_coloring": lambda x: parse_coloring(x["coloring_text"]),
     "Graph": lambda x: Graph(x["graph"].n, x["edges"]),
+    "make_grid": lambda x: make_grid(x["dims"]),
+    "partition3d": lambda x: partition3d(x["dims"]),
+    "degeneracy": lambda x: degeneracy(x["graph"]),
+    "verify_kd_partition": lambda x: verify_kd_partition(x["graph"], x["unstamped_partition"]),
+    "uniform_random": lambda x: ListAssignment.uniform_random(x["graph"].n, 4, 8, Random(6)),
     "verify_equitable_list_coloring": lambda x: verify_equitable_list_coloring(
         x["graph"], x["lists"], 4, x["coloring"], 2
     ),
