@@ -120,6 +120,8 @@ class ListAssignment:
         The lists are the draws of rng.sample(range(1, palette + 1), t) in
         vertex order, and rng ends in the same state.
         """
+        if type(n) is not int or n < 0:
+            raise InputError(f"vertex count must be non-negative, got {n!r}")
         if type(t) is not int or t < 1:
             raise InputError(f"t must be positive, got {t!r}")
         if type(palette) is not int or palette < t:
@@ -232,7 +234,7 @@ class AlgorithmState:
         self.later = later
 
 
-def _later_neighbours(g: Graph, layers: list[list[int]]) -> list[tuple[int, ...]]:
+def _later_neighbours(g: Graph, layers: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Each vertex's neighbours after it in the processing order (the layers
     in order, each reversed), in id order: those a walk of the layers from
     last to first, each from first to last, has seen before reaching it."""
@@ -405,27 +407,28 @@ def equitable_coloring(
     A RunTrace passed as trace is filled with intermediate artifacts.
 
     The partition is verified unless a passing verify_kd_partition has
-    stamped it with this very g and its current k, d and layers; the
-    first colouring adds the plan (each vertex's later neighbours) to
-    the stamp, and later list draws reuse it.
+    stamped it with this very g (a KdPartition cannot change); the first
+    colouring adds the plan (each vertex's later neighbours) to the
+    stamp, and later list draws reuse it.
     Raises InputError when the partition does not verify, the lists do
     not cover the graph, or t < k; raises InvariantError if an internal
     invariant fails (which signals invalid input rather than bad luck).
     """
     stamp = p._verified
-    if stamp is None or stamp[0] is not g or stamp[1:4] != (p.k, p.d, p.layers):
+    if stamp is None or stamp[0] is not g:
         verdict = verify_kd_partition(g, p)
         if not verdict.valid:
             assert verdict.violation is not None
             raise InputError(f"partition does not verify: {verdict.violation.message}")
         stamp = p._verified
-    if stamp[4] is None:
-        p._verified = stamp = stamp[:4] + (_later_neighbours(g, p.layers),)
+    if stamp[1] is None:
+        stamp = (g, _later_neighbours(g, p._layers))
+        object.__setattr__(p, "_verified", stamp)
     t = lists.t
     c = compute_counters(g.n, t, p.k)
-    order = list(chain.from_iterable(map(reversed, p.layers)))  # each layer reversed
+    order = list(chain.from_iterable(map(reversed, p._layers)))  # each layer reversed
     rng = None if seed is None else Random(seed)
-    state = AlgorithmState(g, lists, p.k, p.d, rng=rng, later=stamp[4])
+    state = AlgorithmState(g, lists, p.k, p.d, rng=rng, later=stamp[1])
     if trace is not None:
         trace.counters = c
         trace.order = list(order)

@@ -242,7 +242,7 @@ def graph_to_obj(doc: NamedGraph) -> dict[str, Any]:
 
 
 def partition_to_obj(p: KdPartition) -> dict[str, Any]:
-    return {"k": p.k, "d": p.d, "layers": list(map(list, p.layers))}  # copied: p.layers is mutable
+    return {"k": p.k, "d": p.d, "layers": p._layers}
 
 
 def lists_to_obj(lists: ListAssignment) -> dict[str, Any]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -19,39 +19,40 @@ from .errors import InputError
 from .graph import Graph
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class KdPartition:
     """Ordered layers; the stored order inside a layer is the certificate.
 
-    A passing verify_kd_partition stamps the partition with the graph and
-    a copy of (k, d, layers); equitable_coloring skips the check while the
-    stamp still matches. The stamp's last slot is the colouring plan, each
-    vertex's later neighbours, which the first colouring fills in, so a
-    changed partition or another graph drops it with the stamp.
+    Immutable: k, d and the layers are checked once, here, and `layers`
+    reads back a fresh list of lists. A passing verify_kd_partition stamps
+    the partition with the graph; equitable_coloring skips the check for
+    that same Graph object. The stamp's second slot is the colouring plan,
+    each vertex's later neighbours, which the first colouring fills in.
     """
 
     k: int
     d: int
-    layers: list[list[int]]
-    _verified: tuple[Graph, int, int, list[list[int]], list[tuple[int, ...]] | None] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    _layers: tuple[tuple[int, ...], ...]
+    _verified: tuple[Graph, list[tuple[int, ...]] | None] | None = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if type(self.k) is not int or self.k < 1:
-            raise InputError(f"k must be positive, got {self.k!r}")
-        if type(self.d) is not int or self.d < 1:
-            raise InputError(f"d must be positive, got {self.d!r}")
-        layers = []
-        for layer in self.layers:
+    def __init__(self, k: int, d: int, layers: Iterable[Sequence[int]]) -> None:
+        if type(k) is not int or k < 1:
+            raise InputError(f"k must be positive, got {k!r}")
+        if type(d) is not int or d < 1:
+            raise InputError(f"d must be positive, got {d!r}")
+        rows = []
+        for layer in layers:
             if not isinstance(layer, (list, tuple)):
                 raise InputError(f"layer {layer!r} is not a list or tuple")
-            layers.append(list(layer))
-        self.layers = layers
+            rows.append(tuple(layer))
+        vars(self).update(k=k, d=d, _layers=tuple(rows), _verified=None)  # past the frozen setattr
 
     @property
-    def eta(self) -> int:
-        return len(self.layers) - 1
+    def layers(self) -> list[list[int]]:
+        return list(map(list, self._layers))
+
+    def __repr__(self) -> str:
+        return f"KdPartition(k={self.k}, d={self.d}, layers={self.layers})"
 
 
 @dataclass
@@ -82,17 +83,13 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
     violation found (structure first, then back-degree in layer order) is
     attached to the verdict. A pass stamps p (see KdPartition).
     """
-    k, d = p.k, p.d
-    if type(k) is not int or k < 1 or type(d) is not int or d < 1:  # fields may be reassigned
-        return _structure(f"k and d must be positive, got k={k!r}, d={d!r}")
+    k, d, layers = p.k, p.d, p._layers
     n = g.n
     expected_layers = math.ceil(n / k) if n else 0
-    if len(p.layers) != expected_layers:
-        return _structure(
-            f"expected {expected_layers} layers for n={n}, k={k}, got {len(p.layers)}"
-        )
+    if len(layers) != expected_layers:
+        return _structure(f"expected {expected_layers} layers for n={n}, k={k}, got {len(layers)}")
     seen: set[int] = set()
-    for j, layer in enumerate(p.layers, start=1):
+    for j, layer in enumerate(layers, start=1):
         if j == 1:
             if not 1 <= len(layer) <= k:
                 return _structure(
@@ -111,28 +108,27 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
         return _structure(f"vertex {missing} is not covered by any layer")
 
     adj = g._adj
-    earlier: set[int] = set()
-    for j, layer in enumerate(p.layers, start=1):
-        if j >= 2:
-            for i, v in enumerate(layer, start=1):
-                back = len(earlier.intersection(adj[v]))
-                allowed = d * i - 1
-                if back > allowed:
-                    return PartitionVerdict(
-                        False,
-                        PartitionViolation(
-                            "back-degree",
-                            f"vertex {v} at layer {j} position {i} has {back} "
-                            f"back-neighbours, allowed {allowed}",
-                            layer=j,
-                            position=i,
-                            vertex=v,
-                            observed=back,
-                            allowed=allowed,
-                        ),
-                    )
+    earlier = set(layers[0]) if layers else set()
+    for j, layer in enumerate(layers[1:], start=2):
+        for i, v in enumerate(layer, start=1):
+            back = len(earlier.intersection(adj[v]))
+            allowed = d * i - 1
+            if back > allowed:
+                return PartitionVerdict(
+                    False,
+                    PartitionViolation(
+                        "back-degree",
+                        f"vertex {v} at layer {j} position {i} has {back} "
+                        f"back-neighbours, allowed {allowed}",
+                        layer=j,
+                        position=i,
+                        vertex=v,
+                        observed=back,
+                        allowed=allowed,
+                    ),
+                )
         earlier.update(layer)
-    p._verified = (g, k, d, [list(layer) for layer in p.layers], None)
+    object.__setattr__(p, "_verified", (g, None))
     return PartitionVerdict(True)
 
 

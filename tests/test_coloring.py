@@ -563,10 +563,10 @@ class TestPipelineBehaviour:
 
     def test_degree_bound_zeroed_after_construction(self):
         p = KdPartition(3, 1, [[0, 1, 2]])
-        p.d = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.d = 0
         lists = ListAssignment(3, {v: [1, 2, 3] for v in range(3)})
-        with pytest.raises(InputError, match="^partition does not verify: "):
-            equitable_coloring(Graph(3), p, lists)
+        assert equitable_coloring(Graph(3), p, lists).colors == {2: 1, 1: 2, 0: 3}
 
     def test_single_vertex_graph(self):
         g = Graph(1)
@@ -613,21 +613,26 @@ class TestVerifyOnce:
         assert len(calls) == 1
 
     def test_layers_changed_after_verification(self, calls):
+        # p.layers is a copy: swapping its layer-2 order (invalid for d = 1)
+        # changes neither p nor its colouring, and nothing is verified again.
         g, p, lists = self.path_case()
         assert verify_kd_partition(g, p).valid
-        p.layers[1][0], p.layers[1][1] = p.layers[1][1], p.layers[1][0]
-        with pytest.raises(InputError, match="back-neighbours"):
-            equitable_coloring(g, p, lists)
-        assert len(calls) == 1
+        first = equitable_coloring(g, p, lists)
+        layers = p.layers
+        layers[1][0], layers[1][1] = layers[1][1], layers[1][0]
+        assert p.layers == [[0, 1], [3, 2]]
+        assert equitable_coloring(g, p, lists) == first
+        assert calls == []
 
     def test_degree_bound_changed_after_verification(self, calls):
         g, _, lists = self.path_case()
         p = KdPartition(2, 2, [[0, 1], [2, 3]])
         assert verify_kd_partition(g, p).valid
-        p.d = 1
-        with pytest.raises(InputError, match="back-neighbours"):
-            equitable_coloring(g, p, lists)
-        assert len(calls) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.d = 1  # [2, 3] would not fit d = 1
+        assert p.d == 2
+        equitable_coloring(g, p, lists)
+        assert calls == []
 
     def test_equal_but_distinct_graph_is_checked(self, calls):
         g, p, lists = self.path_case()
@@ -648,26 +653,27 @@ class TestVerifyOnce:
                 equitable_coloring(g, p, lists)
         assert len(calls) == 2
 
-    def test_changed_layers_rebuild_the_plan(self, calls):
-        g, p, _ = self.path_case()
-        # With [[0, 1], [3, 2]]'s plan kept, vertex 1 would take colour 1.
-        lists = ListAssignment(2, {0: [1, 2], 1: [1, 2], 2: [1, 2], 3: [2, 3]})
-        equitable_coloring(g, p, lists)
-        p.layers = [[2, 3], [0, 1]]
-        assert verify_kd_partition(g, p).valid
-        fresh = equitable_coloring(g, KdPartition(2, 1, [[2, 3], [0, 1]]), lists)
-        assert fresh.colors == {0: 1, 1: 2, 2: 1, 3: 2}
-        assert equitable_coloring(g, p, lists) == fresh
-        assert p._verified[4] == _later_neighbours(g, p.layers)
-        assert len(calls) == 2  # p's first colouring and the fresh partition's
+    def test_another_graph_rebuilds_the_plan(self, calls):
+        g, p, lists = self.path_case()
+        # p also verifies on other, a path without the edge 1-2. With the
+        # path's plan kept, colouring vertex 1 would prune vertex 2's list
+        # and vertices 2 and 3 would swap colours.
+        other = Graph(4, [(0, 1), (2, 3)])
+        assert equitable_coloring(g, p, lists).colors == {0: 2, 1: 1, 2: 2, 3: 1}
+        fresh = equitable_coloring(other, KdPartition(2, 1, [[0, 1], [3, 2]]), lists)
+        assert fresh.colors == {0: 2, 1: 1, 2: 1, 3: 2}
+        assert equitable_coloring(other, p, lists) == fresh
+        assert p._verified[0] is other
+        assert p._verified[1] == _later_neighbours(other, p.layers)
+        assert len(calls) == 3  # p on g, the fresh partition, and p on other
 
     def test_stamp_is_invisible(self):
         g, p, _ = self.path_case()
-        before = repr(p)
+        before = repr(p), hash(p)
         assert verify_kd_partition(g, p).valid
         assert p._verified is not None
         assert p == KdPartition(p.k, p.d, p.layers)
-        assert repr(p) == before
+        assert (repr(p), hash(p)) == before
 
 
 class TestPlan:
@@ -690,7 +696,7 @@ class TestPlan:
             expected = [tuple(w for w in g.neighbors(v) if index[w] > index[v]) for v in range(g.n)]
             assert _later_neighbours(g, p.layers) == expected
             equitable_coloring(g, p, ListAssignment.uniform_random(g.n, p.k, 2 * p.k, random.Random(1)))
-            assert p._verified[4] == expected  # the colouring cached the same plan
+            assert p._verified[1] == expected  # the colouring cached the same plan
 
     def test_full_adjacency_gives_the_same_colourings(self, monkeypatch):
         # Pruning a coloured neighbour's list changes nothing that is read again.

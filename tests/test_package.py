@@ -20,7 +20,6 @@ from eqcolor import (
     InputError,
     KdPartition,
     ListAssignment,
-    PartitionVerdict,
     compute_counters,
     enumerate_last_layers,
     greedy_kd_partition,
@@ -28,7 +27,6 @@ from eqcolor import (
     partition3d,
     search_kd_partition,
     verify_equitable_list_coloring,
-    verify_kd_partition,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,26 +156,17 @@ def test_ids_are_exact_ints():
     assert [hit for path in sources for hit in int_type_checks(path)] == []
 
 
-def _verify_reassigned(**fields):
-    p = KdPartition(1, 1, [[0]])
-    for name, value in fields.items():
-        setattr(p, name, value)
-    return verify_kd_partition(Graph(1), p)
-
-
 # Every size parameter refuses a bool or a float: kept, such a value would be
-# stored as a size or reach range() and the counters' arithmetic. The
-# partition verifier answers with an invalid verdict instead of raising.
+# stored as a size or reach range() and the counters' arithmetic.
 _SIZE_CALLS = {
     "Graph-n": lambda x: Graph(x, []),
     "KdPartition-k": lambda x: KdPartition(x, 1, [[0]]),
     "KdPartition-d": lambda x: KdPartition(1, x, [[0]]),
-    "verify_kd_partition-k": lambda x: _verify_reassigned(k=x),
-    "verify_kd_partition-d": lambda x: _verify_reassigned(d=x),
     "compute_counters-n": lambda x: compute_counters(x, 2, 1),
     "compute_counters-t": lambda x: compute_counters(10, x, 1),
     "compute_counters-k": lambda x: compute_counters(10, 3, x),
     "ListAssignment-t": lambda x: ListAssignment(x, {0: list(range(1, int(x) + 1))}),
+    "uniform_random-n": lambda x: ListAssignment.uniform_random(x, 2, 4, Random(0)),
     "uniform_random-t": lambda x: ListAssignment.uniform_random(3, x, 4, Random(0)),
     "uniform_random-palette": lambda x: ListAssignment.uniform_random(3, 1, x, Random(0)),
     "search_kd_partition-k": lambda x: search_kd_partition(Graph(3), x, 1),
@@ -198,11 +187,14 @@ _SIZE_CALLS = {
 @pytest.mark.parametrize("value", [True, 2.0])
 @pytest.mark.parametrize("call", _SIZE_CALLS.values(), ids=list(_SIZE_CALLS))
 def test_size_parameters_are_exact_ints(call, value):
-    try:
-        out = call(value)
-    except InputError:
-        return
-    assert isinstance(out, PartitionVerdict) and not out.valid, out
+    with pytest.raises(InputError):
+        call(value)
+
+
+def test_uniform_random_refuses_a_negative_vertex_count():
+    with pytest.raises(InputError, match=r"^vertex count must be non-negative, got -3$"):
+        ListAssignment.uniform_random(-3, 2, 4, Random(0))
+    assert len(ListAssignment.uniform_random(0, 2, 4, Random(0))) == 0
 
 
 def load_tracer():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -13,8 +14,10 @@ from eqcolor import (
     Graph,
     InputError,
     KdPartition,
+    ListAssignment,
     SearchStatus,
     enumerate_last_layers,
+    equitable_coloring,
     gen_example2,
     gen_gq,
     gen_planted_partition,
@@ -55,7 +58,7 @@ def random_graph(n, p, rng):
 class TestKdPartition:
     def test_shape(self):
         p = KdPartition(2, 1, [[0], [1, 2], [3, 4]])
-        assert p.eta == 2
+        assert len(p.layers) - 1 == 2
         assert sum(map(len, p.layers)) == 5
 
     def test_rejects_nonpositive_parameters(self):
@@ -75,6 +78,24 @@ class TestKdPartition:
         raw[1].append(99)
         assert p.layers[1] == [1, 2]
 
+    @pytest.mark.parametrize("raw", [[[0], [1, 2]], ((0,), (1, 2)), [(0,), [1, 2]]])
+    def test_layers_read_back_as_a_fresh_list_of_lists(self, raw):
+        # repr(p.layers) is what the bench digests hash, so its form is pinned.
+        p = KdPartition(2, 1, raw)
+        assert p.layers is not p.layers
+        assert p.layers == [[0], [1, 2]]
+        assert repr(p.layers) == "[[0], [1, 2]]"
+        assert all(type(layer) is list for layer in p.layers)
+        p.layers[1].append(99)
+        assert p.layers == [[0], [1, 2]]
+        before = p == KdPartition(2, 1, [[0], [1, 2]]), hash(p), repr(p)
+        g = Graph(3, [(1, 2)])
+        assert verify_kd_partition(g, p).valid
+        equitable_coloring(g, p, ListAssignment(2, {v: [1, 2] for v in range(3)}))
+        assert p._verified[0] is g and p._verified[1] is not None
+        assert (p == KdPartition(2, 1, [[0], [1, 2]]), hash(p), repr(p)) == before
+        assert repr(p) == "KdPartition(k=2, d=1, layers=[[0], [1, 2]])"
+
 
 class TestVerify:
     def test_bundled_example_partition_is_valid(self):
@@ -82,7 +103,7 @@ class TestVerify:
         verdict = verify_kd_partition(bundle.graph, bundle.partition)
         assert verdict.valid
         assert verdict.violation is None
-        assert bundle.partition.eta == 9
+        assert len(bundle.partition.layers) - 1 == 9
 
     def test_bundled_clique_chain_partition_is_valid(self):
         for q in (1, 2):
@@ -205,14 +226,13 @@ class TestVerify:
         verdict = verify_kd_partition(Graph(0), KdPartition(2, 1, []))
         assert verdict.valid
 
-    @pytest.mark.parametrize("name", ["k", "d"])
+    @pytest.mark.parametrize("name", ["k", "d", "layers"])
     def test_parameter_zeroed_after_construction(self, name):
         p = KdPartition(3, 1, [[0, 1, 2]])
-        setattr(p, name, 0)
-        verdict = verify_kd_partition(Graph(3), p)
-        assert not verdict.valid
-        assert verdict.violation.kind == "structure"
-        assert p._verified is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, [] if name == "layers" else 0)
+        assert (p.k, p.d, p.layers) == (3, 1, [[0, 1, 2]])
+        assert verify_kd_partition(Graph(3), p).valid
 
 
 def fits(degs: list[int], d: int) -> list[int] | None:

@@ -84,7 +84,7 @@ STAGES = {
     "verify_equitable_list_coloring": lambda x: verify_equitable_list_coloring(
         x["graph"], x["lists"], 4, x["coloring"], 2
     ),
-    "plan": lambda x: _later_neighbours(x["graph"], x["partition"].layers),
+    "plan": lambda x: _later_neighbours(x["graph"], x["partition"]._layers),  # not a copy
 }
 
 
