@@ -57,7 +57,7 @@ def gen_gq(q: int) -> NamedGraph:
     ordering lists each copy by ascending count of neighbours in the
     previous copy, which certifies the partition with k=6, d=1.
     """
-    if q < 1:
+    if type(q) is not int or q < 1:
         raise InputError(f"q must be a positive integer, got {q}")
     copies = 2 * q + 1
     names: dict[str, int] = {}
@@ -141,7 +141,7 @@ def gen_basic(
     """Paths, cycles, cliques, and seeded uniform random graphs."""
     if kind not in {"path", "cycle", "complete", "random"}:
         raise InputError(f"unknown graph kind {kind!r}")
-    if n is None or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError(f"{kind} needs a positive vertex count, got {n}")
     edges: list[tuple[int, int]] = []
     if kind == "path":
@@ -172,7 +172,7 @@ def gen_planted_partition(n: int, k: int, d: int, seed: int | None = None) -> Na
     within-layer edges at coin-flip rate. The bundled partition is
     re-verified before returning.
     """
-    if n < 1 or k < 1 or d < 1:
+    if any(type(x) is not int or x < 1 for x in (n, k, d)):
         raise InputError("n, k, d must all be positive")
     rng = Random(seed)
     perm = list(range(n))

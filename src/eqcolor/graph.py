@@ -112,7 +112,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 def is_d_degenerate(g: Graph, d: int) -> bool:
     """True iff every subgraph of g has a vertex of degree at most d."""
-    if d < 0:
+    if type(d) is not int or d < 0:
         raise InputError(f"degeneracy bound must be non-negative, got {d}")
     return degeneracy(g) <= d
 

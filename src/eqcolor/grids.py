@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import product, starmap
 
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .graph import Graph
 from .partition import KdPartition
 
@@ -51,14 +51,14 @@ class GridSpec:
             raise InputError(f"coordinate {coord} has wrong arity")
         vid = 0
         for c, size, stride in zip(coord, self.dims, self.strides):
-            if not 1 <= c <= size:
+            if type(c) is not int or not 1 <= c <= size:
                 raise InputError(f"coordinate {coord} leaves the grid")
             vid += (c - 1) * stride
         return vid
 
     def coord_of(self, vid: int) -> tuple[int, ...]:
         """1-based coordinate in sorted-axis order."""
-        if not 0 <= vid < self.n:
+        if type(vid) is not int or not 0 <= vid < self.n:
             raise InputError(f"vertex {vid} outside grid of {self.n} vertices")
         coord = []
         for stride in self.strides:
@@ -92,27 +92,31 @@ def make_grid(dims: tuple[int, ...] | list[int]) -> tuple[Graph, GridSpec]:
 def partition3d(dims: tuple[int, ...] | list[int]) -> KdPartition:
     """Direct (3, 2)-partition of a 3-dimensional grid, no search involved.
 
-    Layers are peeled back to front. Each round removes the corner y1 of
-    the remaining grid plus two companions picked by the corner's
-    remaining degree; companions are the corner's in-layer neighbours when
-    the degree forces them, and otherwise the smallest present vertices.
-    Ids follow coordinate order, so the corner is the smallest present id:
-    every neighbour one step lower on an axis is gone, which bounds its
-    degree by 3, and a forward-only cursor over a present bitmap finds it
-    in amortised constant time. Each triple is stored in ascending order
-    of external degree into what is left: the corner always has at most
-    1, the second vertex then has at most 3 and the third at most 4,
-    which certifies the layer for k=3, d=2. (Storing the removal order
-    itself is not enough: when the corner's only in-layer neighbour is
-    the one in the next row, that neighbour can keep 4 external
-    neighbours, one row below included.)
+    Layers are peeled back to front by the anchor rule the partition
+    search uses: a layer's first vertex keeps all but d - 1 = 1 of its
+    remaining neighbours inside the layer. Each round anchors on y1, the
+    smallest present id; a forward-only cursor over a present bitmap
+    finds it in amortised constant time. Ids follow coordinate order, so
+    every lower neighbour of y1 is gone and only y1 + 1, the next row's
+    y1 + cols and the next plane's y1 + rows*cols can remain. y1 + 1, if
+    present, is the next smallest id and joins the layer anyway, so the
+    next row's vertex is forced in only when it and the next plane's
+    both remain; otherwise the smallest present ids fill the layer.
+    Each triple is stored in ascending order of external degree into
+    what is left: the first vertex then has at most 1, the second at
+    most 3 and the third at most 4, which certifies the layer for k=3,
+    d=2. (Storing the removal order itself is not enough: when the
+    anchor's only in-layer neighbour is the one in the next row, that
+    neighbour can keep 4 external neighbours, one row below included.)
     """
     spec = GridSpec.from_dims(dims)
     if len(spec.dims) != 3:
         raise InputError("partition3d requires exactly three dimensions")
+    n = spec.n
     _, rows, cols = spec.dims
+    plane = rows * cols
     axes = tuple(zip(spec.strides, spec.dims))
-    present = bytearray(b"\x01") * spec.n
+    present = bytearray(b"\x01") * n
     cursor = 0
 
     def degree(v: int) -> int:
@@ -132,43 +136,16 @@ def partition3d(dims: tuple[int, ...] | list[int]) -> KdPartition:
         return cursor
 
     layers_rev: list[list[int]] = []
-    for _ in range(math.ceil(spec.n / 3) - 1):
+    for _ in range(math.ceil(n / 3) - 1):
         y1 = take_smallest()
-        deg = degree(y1)
-        if deg > 3:
-            raise InvariantError(
-                f"corner {spec.coord_of(y1)} has degree {deg}, expected at most 3",
-                context={"coord": list(spec.coord_of(y1)), "degree": deg},
-            )
-        # In-layer neighbours one step along the last and the middle axis.
-        right = y1 + 1 if y1 % cols < cols - 1 and present[y1 + 1] else None
-        down = y1 + cols if y1 // cols % rows < rows - 1 and present[y1 + cols] else None
-        if deg <= 1:
-            y2, y3 = take_smallest(), take_smallest()
-        elif deg == 2:
-            y2 = right if right is not None else down
-            if y2 is None:
-                raise InvariantError(
-                    f"degree-2 corner {spec.coord_of(y1)} has no in-layer neighbour",
-                    context={"coord": list(spec.coord_of(y1))},
-                )
-            present[y2] = 0
-            y3 = take_smallest()
-        elif right is None or down is None:
-            raise InvariantError(
-                f"degree-3 corner {spec.coord_of(y1)} misses an in-layer neighbour",
-                context={"coord": list(spec.coord_of(y1)), "degree": deg},
-            )
+        below, ahead = y1 + cols, y1 + plane
+        if ahead < n and present[ahead] and y1 // cols % rows < rows - 1 and present[below]:
+            present[below] = 0
+            y2, y3 = below, take_smallest()
         else:
-            y2, y3 = right, down
-            present[y2] = present[y3] = 0
+            y2, y3 = take_smallest(), take_smallest()
         triple = sorted((degree(v), v) for v in (y1, y2, y3))
         layers_rev.append([v for _, v in triple])
 
-    leftover = [v for v in range(cursor, spec.n) if present[v]]
-    if not 1 <= len(leftover) <= 3:
-        raise InvariantError(
-            f"leftover first layer has {len(leftover)} vertices",
-            context={"size": len(leftover)},
-        )
+    leftover = [v for v in range(cursor, n) if present[v]]
     return KdPartition(k=3, d=2, layers=[leftover, *reversed(layers_rev)])

@@ -221,6 +221,8 @@ def search_kd_partition(
     """
     if type(k) is not int or k < 1 or type(d) is not int or d < 1:
         raise InputError("k and d must be positive")
+    if budget is not None and type(budget) is not int:
+        raise InputError(f"budget must be None or an integer, got {budget!r}")
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
     universe = frozenset(range(g.n))

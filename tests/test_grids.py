@@ -80,6 +80,13 @@ class TestGridSpec:
             spec.id_of((0, 2))
         with pytest.raises(InputError):
             spec.coord_of(9)
+        # Coordinates and ids are exact ints: no float or bool stands in.
+        for coord in ((1.0, 1), (1, True), (2, _Dim.THREE)):
+            with pytest.raises(InputError):
+                spec.id_of(coord)
+        for vid in (2.0, True, _Dim.THREE):
+            with pytest.raises(InputError):
+                spec.coord_of(vid)
 
 
 class TestMakeGrid:
@@ -183,12 +190,15 @@ class TestPartition3d:
             if 8 <= a * b * c <= 300
         ]
         assert len(sweep) == 401
+        cubes = list(itertools.combinations_with_replacement(range(2, 7), 3))
+        # Larger and lopsided shapes: long rows, a thin slab, a near-line.
+        large = [(10, 40, 40), (20, 20, 20), (2, 2, 500), (3, 50, 7), (7, 7, 200)]
         digest = hashlib.sha256()
-        for dims in sweep + list(itertools.combinations_with_replacement(range(2, 7), 3)):
+        for dims in sweep + cubes + large:
             layers = partition3d(dims).layers
             digest.update(json.dumps([list(dims), layers]).encode())
         assert digest.hexdigest() == (
-            "66e10a7f51deb88b4c0a816c72ebf8964e004ba71ab91662150a583a0cb8bf92"
+            "4a8c36d8ef9e7e7488b8a32667f5f3f6196dda0ab6763a937a37fa1435eb77a4"
         )
 
     def test_dimension_order_does_not_matter(self):

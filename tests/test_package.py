@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import sys
 import time
 from pathlib import Path
@@ -22,7 +23,11 @@ from eqcolor import (
     ListAssignment,
     compute_counters,
     enumerate_last_layers,
+    gen_basic,
+    gen_gq,
+    gen_planted_partition,
     greedy_kd_partition,
+    is_d_degenerate,
     make_grid,
     partition3d,
     search_kd_partition,
@@ -171,6 +176,7 @@ _SIZE_CALLS = {
     "uniform_random-palette": lambda x: ListAssignment.uniform_random(3, 1, x, Random(0)),
     "search_kd_partition-k": lambda x: search_kd_partition(Graph(3), x, 1),
     "search_kd_partition-d": lambda x: search_kd_partition(Graph(3), 1, x),
+    "search_kd_partition-budget": lambda x: search_kd_partition(Graph(3), 1, 1, x),
     "greedy_kd_partition-k": lambda x: greedy_kd_partition(Graph(3), x, 1),
     "greedy_kd_partition-d": lambda x: greedy_kd_partition(Graph(3), 1, x),
     "enumerate_last_layers-k": lambda x: list(enumerate_last_layers(Graph(3), x, 1)),
@@ -181,6 +187,12 @@ _SIZE_CALLS = {
     "verify_equitable_list_coloring-d": lambda x: verify_equitable_list_coloring(
         Graph(1), ListAssignment(1, {0: [1]}), 1, Coloring({0: 1}), x
     ),
+    "gen_gq-q": gen_gq,
+    "gen_basic-n": lambda x: gen_basic("path", x),
+    "gen_planted_partition-n": lambda x: gen_planted_partition(x, 1, 1),
+    "gen_planted_partition-k": lambda x: gen_planted_partition(2, x, 1),
+    "gen_planted_partition-d": lambda x: gen_planted_partition(2, 1, x),
+    "is_d_degenerate-d": lambda x: is_d_degenerate(Graph(2), x),
 }
 
 
@@ -189,6 +201,24 @@ _SIZE_CALLS = {
 def test_size_parameters_are_exact_ints(call, value):
     with pytest.raises(InputError):
         call(value)
+
+
+_SIZE_NAMES = {"n", "k", "d", "t", "q", "palette", "budget"}
+# Public callables whose size-named parameters need no entry, with the reason.
+_SIZE_EXEMPT = {"Counters": "a record that only compute_counters builds"}
+
+
+def test_every_size_parameter_has_a_size_call():
+    public = {name: getattr(eqcolor, name) for name in eqcolor.__all__ if name not in _SIZE_EXEMPT}
+    public["uniform_random"] = ListAssignment.uniform_random
+    sized = [
+        f"{name}-{param}"
+        for name, call in public.items()
+        for param in inspect.signature(call).parameters
+        if param in _SIZE_NAMES
+    ]
+    assert len(sized) > 20
+    assert [key for key in sized if key not in _SIZE_CALLS] == []
 
 
 def test_uniform_random_refuses_a_negative_vertex_count():

@@ -305,6 +305,14 @@ class TestSearch:
         assert res.status is SearchStatus.BUDGET_EXHAUSTED
         assert res.partition is None
         assert res.expanded >= 5
+        # A negative budget is spent before the first candidate.
+        res = search_kd_partition(bundle.graph, 7, 1, budget=-1)
+        assert res.status is SearchStatus.BUDGET_EXHAUSTED and res.expanded == 0
+
+    def test_budget_is_none_or_an_exact_int(self):
+        for budget in (1.5, "5"):
+            with pytest.raises(InputError, match="budget must be None or an integer"):
+                search_kd_partition(gen_gq(1).graph, 5, 1, budget=budget)
 
     def test_found_partitions_always_verify(self):
         rng = random.Random(2201)
