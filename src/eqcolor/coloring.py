@@ -62,6 +62,13 @@ def compute_counters(n: int, t: int, k: int) -> Counters:
     return Counters(n=n, t=t, k=k, eta=eta, r1=r1, beta=beta, r2=r2, gamma=gamma, r=r, rho=rho, x=x)
 
 
+def _sample_setsize(k: int) -> int:
+    """CPython's ``Random.sample`` size rule for a sample of k: it draws from
+    a copied pool when the population has at most this many members, and
+    into a set of chosen indices otherwise."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
 class ListAssignment:
     """t-uniform colour lists, kept sorted ascending per vertex."""
 
@@ -127,9 +134,8 @@ class ListAssignment:
         if type(palette) is not int or palette < t:
             raise InputError(f"palette size {palette!r} is below t={t}")
         lists: dict[int, tuple[int, ...]] = {}
-        setsize = 21 + (4 ** math.ceil(math.log(t * 3, 4)) if t > 5 else 0)
         if (
-            palette <= setsize
+            palette <= _sample_setsize(t)
             and type(rng).sample is Random.sample
             and type(rng)._randbelow is Random._randbelow
         ):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
-from .coloring import ListAssignment
+from .coloring import ListAssignment, _sample_setsize
 from .errors import InputError, InvariantError
 from .graph import Graph
 from .partition import KdPartition, verify_kd_partition
@@ -153,7 +153,7 @@ def gen_basic(
     elif kind == "complete":
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
     else:
-        if p is None or not 0.0 <= p <= 1.0:
+        if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
             raise InputError(f"random needs an edge probability in [0, 1], got {p}")
         rng = Random(seed)
         edges = [
@@ -171,29 +171,64 @@ def gen_planted_partition(n: int, k: int, d: int, seed: int | None = None) -> Na
     which is exactly the budget the partition condition allows, plus
     within-layer edges at coin-flip rate. The bundled partition is
     re-verified before returning.
+
+    With ``rng = Random(seed)``, the draws are those of ``rng.shuffle``,
+    ``rng.randint(0, cap)`` and ``rng.sample(perm[:size], c)``, written out on
+    ``rng.getrandbits`` as CPython makes them (each index is redrawn until
+    it is below its bound, and sample keeps both of its branches), so a
+    seed gives the graph those calls give. The edges are kept in a list,
+    not a set, because no pair can come up twice: a within-layer pair
+    joins two vertices of one layer, and a vertex's back edges go to
+    distinct vertices of earlier layers.
     """
     if any(type(x) is not int or x < 1 for x in (n, k, d)):
         raise InputError("n, k, d must all be positive")
     rng = Random(seed)
+    getrandbits, coin = rng.getrandbits, rng.random
+
+    def below(m: int) -> int:  # rng._randbelow(m)
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        return j
+
     perm = list(range(n))
-    rng.shuffle(perm)
+    # Labels are taken before the shuffle so that they share perm's int
+    # objects with the layers and the adjacency instead of making new ones.
+    names = {str(v): v for v in perm}
+    for top in range(n - 1, 0, -1):  # rng.shuffle(perm)
+        j = below(top + 1)
+        perm[top], perm[j] = perm[j], perm[top]
     eta = -(-n // k) - 1
     r1 = n - eta * k
     layers = [perm[:r1]]
     for start in range(r1, n, k):
         layers.append(perm[start : start + k])
-    edges: set[tuple[int, int]] = set()
-    earlier: list[int] = []
-    for idx, layer in enumerate(layers):
+    setsize = [_sample_setsize(c) for c in range(min(d * k, n))]  # c < d*k and c < n
+    edges: list[tuple[int, int]] = []
+    size = 0  # layers are slices of perm, so earlier layers are perm[:size]
+    for layer in layers:
         for u, v in combinations(layer, 2):
-            if rng.random() < 0.5:
-                edges.add((min(u, v), max(u, v)))
-        if idx > 0:
-            for i, v in enumerate(layer, start=1):
-                cap = min(d * i - 1, len(earlier))
-                for u in rng.sample(earlier, rng.randint(0, cap)):
-                    edges.add((min(u, v), max(u, v)))
-        earlier.extend(layer)
-    names = {str(v): v for v in range(n)}
+            if coin() < 0.5:
+                edges.append((u, v))
+        for i, v in enumerate(layer if size else (), start=1):  # none in the first layer
+            c = below(min(d * i - 1, size) + 1)  # rng.randint(0, cap)
+            if size <= setsize[c]:  # sample's pool branch: swap each pick with the last
+                pool = perm[:size]
+                for top in range(size - 1, size - 1 - c, -1):
+                    j = below(top + 1)
+                    edges.append((pool[j], v))
+                    pool[j] = pool[top]
+            else:  # sample's set branch: redraw an index out of range or already chosen
+                bits = size.bit_length()
+                seen: set[int] = set()
+                for _ in range(c):
+                    j = getrandbits(bits)
+                    while j >= size or j in seen:
+                        j = getrandbits(bits)
+                    seen.add(j)
+                    edges.append((perm[j], v))
+        size += len(layer)
     partition = KdPartition(k=k, d=d, layers=layers)
     return _checked(NamedGraph(Graph(n, edges), names, partition=partition))

@@ -47,6 +47,8 @@ class GridSpec:
 
     def id_of(self, coord: tuple[int, ...]) -> int:
         """Vertex id of a 1-based coordinate in sorted-axis order."""
+        if type(coord) not in (tuple, list):
+            raise InputError(f"coordinate {coord!r} is not a tuple or list")
         if len(coord) != len(self.dims):
             raise InputError(f"coordinate {coord} has wrong arity")
         vid = 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -136,6 +138,12 @@ class TestBasicGraphs:
         assert a == b
         assert a != c
 
+    def test_random_rejects_a_p_that_is_not_a_probability(self):
+        # Only an exact int or float is a probability: no string, bool or None.
+        for p in ("0.5", True, None, 1.5):
+            with pytest.raises(InputError, match="edge probability"):
+                gen_basic("random", 3, p=p)
+
     def test_names_are_vertex_ids(self):
         bundle = gen_basic("path", 3)
         assert bundle.id_of("2") == 2
@@ -163,6 +171,27 @@ class TestPlantedPartition:
         b = gen_planted_partition(25, 3, 2, seed=9)
         assert a.graph == b.graph
         assert a.partition.layers == b.partition.layers
+
+    def test_graphs_match_recorded_digest(self):
+        # Pins every edge and layer a seed gives, not just validity. The
+        # small sweep reaches n <= k (one layer), cap 0 (d = 1) and both of
+        # sample's branches; the two large graphs draw from thousands of
+        # earlier vertices, where repeated indices are redrawn.
+        sweep = [
+            (n, k, d, n * 100 + k * 10 + d)
+            for n in range(1, 61)
+            for k in range(1, 7)
+            for d in range(1, 5)
+        ]
+        sweep += [(2_000, 4, 3, 7), (10_000, 4, 3, 11)]
+        digest = hashlib.sha256()
+        for n, k, d, seed in sweep:
+            bundle = gen_planted_partition(n, k, d, seed=seed)
+            record = [n, k, d, seed, bundle.graph.edges(), bundle.partition.layers]
+            digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == (
+            "a5c28c42a041b4a81899824b0c5646614f9a27384dcedf354efa49bb9a96030b"
+        )
 
     def test_produces_edges_at_scale(self):
         bundle = gen_planted_partition(40, 4, 3, seed=0)

@@ -78,6 +78,9 @@ class TestGridSpec:
             spec.id_of((1, 1, 1))
         with pytest.raises(InputError):
             spec.id_of((0, 2))
+        for coord in (5, None):  # not a sequence: refused before the arity check
+            with pytest.raises(InputError, match="not a tuple or list"):
+                spec.id_of(coord)
         with pytest.raises(InputError):
             spec.coord_of(9)
         # Coordinates and ids are exact ints: no float or bool stands in.

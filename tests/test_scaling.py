@@ -1,11 +1,12 @@
 """Doubling gates for the document stages (parse, build and write), the
-grid builders, the partition verifier, list generation, degeneracy, the
-colouring verifier and the colouring plan's build.
+grid builders, the planted-graph generator, the partition verifier, list
+generation, degeneracy, the colouring verifier and the colouring plan's
+build.
 
 Each stage runs on two 3-D grids, 10x10x10 and 10x20x20, so n grows by 4x
-and the edge and list rows with it. The measure is the stage's
-``tracemalloc`` peak, which is the same on every run for a fixed input,
-so the gate needs no timing. A linear stage reads a ratio near 4; a
+and the edge and list rows with it; the generator builds a planted graph
+of the same n. The measure is the stage's ``tracemalloc`` peak, which is
+the same on every run for a fixed input, so the gate needs no timing. A linear stage reads a ratio near 4; a
 quadratic one would read about 16.
 """
 
@@ -23,6 +24,7 @@ from eqcolor import (
     NamedGraph,
     degeneracy,
     equitable_coloring,
+    gen_planted_partition,
     make_grid,
     partition3d,
     verify_equitable_list_coloring,
@@ -78,6 +80,7 @@ STAGES = {
     "Graph": lambda x: Graph(x["graph"].n, x["edges"]),
     "make_grid": lambda x: make_grid(x["dims"]),
     "partition3d": lambda x: partition3d(x["dims"]),
+    "gen_planted_partition": lambda x: gen_planted_partition(x["graph"].n, 4, 3, seed=1),
     "degeneracy": lambda x: degeneracy(x["graph"]),
     "verify_kd_partition": lambda x: verify_kd_partition(x["graph"], x["unstamped_partition"]),
     "uniform_random": lambda x: ListAssignment.uniform_random(x["graph"].n, 4, 8, Random(6)),
