@@ -18,7 +18,7 @@ from random import Random
 
 from .errors import InputError, InvariantError
 from .graph import Graph
-from .partition import KdPartition, verify_kd_partition
+from .partition import KdPartition, _blocks, verify_kd_partition
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ def compute_counters(n: int, t: int, k: int) -> Counters:
         raise InputError(f"k must be positive, got {k!r}")
     if type(t) is not int or t < k:
         raise InputError(f"uniform list size t={t!r} must be at least k={k}")
-    eta = math.ceil(n / k) - 1
-    r1 = n - eta * k
-    beta = math.ceil(n / t) - 1
-    r2 = t if n % t == 0 else n % t
+    r1 = n % k or k  # the first block holds the remainder, 1..k, as in _blocks
+    eta = (n - r1) // k
+    r2 = n % t or t
+    beta = (n - r2) // t
     gamma, r = divmod(t, k)
     rho, x = divmod(beta * r, k)
     return Counters(n=n, t=t, k=k, eta=eta, r1=r1, beta=beta, r2=r2, gamma=gamma, r=r, rho=rho, x=x)
@@ -82,7 +82,9 @@ class ListAssignment:
             raise InputError(f"list key {key!r} is not a vertex id")
         clean: dict[int, tuple[int, ...]] = {}
         for v in sorted(lists):
-            colours = list(lists[v])
+            colours = lists[v]
+            if not isinstance(colours, (list, tuple)):
+                raise InputError(f"list of vertex {v} is not a list or tuple")
             if len(set(colours)) != len(colours):
                 raise InputError(f"list of vertex {v} repeats a colour")
             if len(colours) != t:
@@ -255,14 +257,14 @@ def _later_neighbours(g: Graph, layers: Sequence[Sequence[int]]) -> list[tuple[i
 
 
 def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -> None:
-    """Colour vertices in consecutive blocks of len(floors) with distinct colours.
+    """Colour _blocks(vertices, len(floors)): the first holds the remainder.
 
-    It trusts equitable_coloring's layout (uncoloured vertices, a multiple
-    of len(floors) of them) and re-checks neither. Inside a block each
-    vertex's list permanently loses the colours the block has already used,
-    which forces pairwise distinct colours. A list shorter than floors[i],
-    the paper's bound at position i + 1 of a block, raises InvariantError;
-    every floor is at least 1.
+    It trusts equitable_coloring's layout (uncoloured vertices, floors not
+    empty) and re-checks neither. Inside a block each vertex's list
+    permanently loses the colours the block has already used, which forces
+    pairwise distinct colours. A list shorter than floors[i], the paper's
+    bound at position i + 1 of a block, raises InvariantError; every floor
+    is at least 1.
 
     Each vertex v takes the smallest colour c left in its list, the
     dict's first key (or a seeded-uniform one when the state carries an
@@ -272,13 +274,10 @@ def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -
     earlier same-coloured neighbours. Hits on colours that have left a
     list are not counted: they could never prune.
     """
-    if not vertices:
-        return
     lists, colors, later, rng = state.lists, state.colors, state.later, state.rng
-    p = len(floors)
-    for start in range(0, len(vertices), p):
+    for block in _blocks(vertices, len(floors)):
         used: list[int] = []
-        for v in vertices[start : start + p]:
+        for v in block:
             lv = lists[v]
             for u in used:
                 if u in lv:
@@ -307,23 +306,22 @@ def colour_list(state: AlgorithmState, vertices: list[int], floors: list[int]) -
 def reorder(s_col: list[int], colors: Mapping[int, int], k: int) -> list[int]:
     """Permute an already coloured list so every k-window is rainbow.
 
-    The input starts with x = len(s_col) % k vertices of pairwise distinct
-    colours followed by blocks of k, each block rainbow on its own. The
-    x-prefix is kept; each block is then drained greedily, always appending
-    the earliest pooled vertex whose colour avoids the previous k - 1
-    output colours. A pool holding j colours faces at most j - 1 clashes
-    from outside its own block, so the greedy step never gets stuck.
+    The input is the blocks of _blocks(s_col, k), each rainbow on its own:
+    k vertices each but the first, which holds the remainder. Each block in
+    turn is drained greedily, always appending the earliest pooled vertex
+    whose colour avoids the previous k - 1 output colours. A pool holding
+    j colours faces at most j - 1 clashes from outside its own block, so
+    the greedy step never gets stuck, and the first block keeps its order.
+    This per-slot test is the one window check: a repeated colour anywhere
+    raises InvariantError.
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    x = len(s_col) % k
-    out = list(s_col[:x])
-    outc = [colors[v] for v in out]  # the colours of out, slot by slot
-    pos = x
-    while pos < len(s_col):
-        pool = list(s_col[pos : pos + k])
-        pos += k
-        for _ in range(k):
+    out: list[int] = []
+    outc: list[int] = []  # the colours of out, slot by slot
+    for block in _blocks(s_col, k):
+        pool = list(block)
+        for _ in block:
             forbidden = set(outc[-(k - 1) :] if k > 1 else ())
             for idx, v in enumerate(pool):
                 if colors[v] not in forbidden:
@@ -335,17 +333,6 @@ def reorder(s_col: list[int], colors: Mapping[int, int], k: int) -> list[int]:
                 )
             out.append(pool.pop(idx))
             outc.append(colors[v])
-    # One pass: the first colour seen again fewer than k places back ends
-    # the first non-rainbow window. Output shorter than k has no window.
-    last: dict[int, int] = {}
-    for i, c in enumerate(outc if len(outc) >= k else ()):
-        if i - last.get(c, -k) < k:
-            start = max(0, i - k + 1)
-            raise InvariantError(
-                "repeated colour inside a window after reorder",
-                context={"start": start, "window": out[start : start + k]},
-            )
-        last[c] = i
     return out
 
 
@@ -398,8 +385,9 @@ def equitable_coloring(
     """Colour g from its lists along the layer partition p.
 
     The vertices are processed layer by layer with each layer reversed.
-    The first r2 vertices form one rainbow block; the next x plus rho
-    blocks of k are coloured, reordered so every k-window is rainbow, and
+    The first r2 vertices form one rainbow block; the next beta*r, in
+    blocks of k with the remainder x first (as the layers are cut), are
+    coloured, reordered so every k-window is rainbow, and
     their colours are then stripped from the matching groups of the
     remaining vertices, which are finally coloured in blocks of gamma*k.
 
@@ -440,16 +428,14 @@ def equitable_coloring(
         trace.order = list(order)
 
     k = p.k
-    x_end = c.r2 + c.x
-    s_end = x_end + c.rho * k
+    s_end = c.r2 + c.beta * c.r
     colour_list(state, order[: c.r2], list(range(t, t - c.r2, -1)))
-    colour_list(state, order[c.r2 : x_end], [t - k + 1] * c.x)
-    colour_list(state, order[x_end:s_end], [t - k + 1] * k)
     s_col = order[c.r2 : s_end]
+    colour_list(state, s_col, [t - k + 1] * k)
     if trace is not None:
         trace.s_col_initial = list(s_col)
 
-    s_col = reorder(s_col, state.colors, k)  # its prefix is the x block
+    s_col = reorder(s_col, state.colors, k)
     rest = order[s_end:]
     gk = c.gamma * k
     modify_colour_lists(state, s_col, rest, c.r, gk)
@@ -506,7 +492,7 @@ def verify_equitable_list_coloring(
                 "list", f"vertex {v} wears colour {c} outside its list", vertex=v, color=c
             ),
         )
-    cap = math.ceil(n / t)
+    cap = -(-n // t)
     sizes = Counter(col)
     oversized = [c for c, size in sizes.items() if size > cap]
     if oversized:

@@ -15,7 +15,7 @@ from random import Random
 from .coloring import ListAssignment, _sample_setsize
 from .errors import InputError, InvariantError
 from .graph import Graph
-from .partition import KdPartition, verify_kd_partition
+from .partition import KdPartition, _blocks, verify_kd_partition
 
 
 @dataclass
@@ -200,11 +200,7 @@ def gen_planted_partition(n: int, k: int, d: int, seed: int | None = None) -> Na
     for top in range(n - 1, 0, -1):  # rng.shuffle(perm)
         j = below(top + 1)
         perm[top], perm[j] = perm[j], perm[top]
-    eta = -(-n // k) - 1
-    r1 = n - eta * k
-    layers = [perm[:r1]]
-    for start in range(r1, n, k):
-        layers.append(perm[start : start + k])
+    layers = list(_blocks(perm, k))
     setsize = [_sample_setsize(c) for c in range(min(d * k, n))]  # c < d*k and c < n
     edges: list[tuple[int, int]] = []
     size = 0  # layers are slices of perm, so earlier layers are perm[:size]

@@ -23,7 +23,7 @@ class Graph:
     Adjacency is kept once, as per-vertex sorted tuples (``_adj``), so that
     iteration order is deterministic everywhere downstream; set arithmetic
     intersects a set the caller holds with a tuple. The accessors below
-    range-check their vertex; the package's hot loops read ``_adj``
+    take only an exact int in range; the package's hot loops read ``_adj``
     directly for vertices they have already checked.
     """
 
@@ -53,8 +53,8 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     def _check(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range for n={self.n}")
+        if type(v) is not int or not 0 <= v < self.n:  # a bool or 1.0 is no vertex id
+            raise InputError(f"vertex {v!r} is not an int in [0, {self.n})")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbours of v."""

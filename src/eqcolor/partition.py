@@ -9,7 +9,6 @@ most d*i - 1 neighbours in earlier layers.
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,6 +71,15 @@ class PartitionVerdict:
     violation: PartitionViolation | None = None
 
 
+def _blocks(items: Sequence, size: int) -> Iterator[Sequence]:
+    """Consecutive slices of items, aligned to the end as the layers are: the
+    first holds the remainder, 1..size items, as S_1 does; none if empty."""
+    start = 0
+    for end in range(len(items) % size or size, len(items) + 1, size):
+        yield items[start:end]
+        start = end
+
+
 def _structure(message: str, layer: int | None = None) -> PartitionVerdict:
     return PartitionVerdict(False, PartitionViolation("structure", message, layer=layer))
 
@@ -85,7 +93,7 @@ def verify_kd_partition(g: Graph, p: KdPartition) -> PartitionVerdict:
     """
     k, d, layers = p.k, p.d, p._layers
     n = g.n
-    expected_layers = math.ceil(n / k) if n else 0
+    expected_layers = -(-n // k)
     if len(layers) != expected_layers:
         return _structure(f"expected {expected_layers} layers for n={n}, k={k}, got {len(layers)}")
     seen: set[int] = set()

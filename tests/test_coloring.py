@@ -67,7 +67,7 @@ class TestCounters:
         assert c.beta == 2
         assert c.r2 == 4
 
-    @given(st.integers(min_value=1, max_value=10**6), st.data())
+    @given(st.integers(min_value=1, max_value=2**70), st.data())
     @settings(max_examples=300, deadline=None)
     def test_identities(self, n, data):
         k = data.draw(st.integers(min_value=1, max_value=12))
@@ -80,9 +80,16 @@ class TestCounters:
         assert c.beta * c.r == c.rho * c.k + c.x
         assert 0 <= c.x < c.k
         assert c.n == c.r2 + c.x + c.rho * c.k + c.beta * c.gamma * c.k
-        assert c.eta == math.ceil(n / k) - 1
+        assert c.eta == -(-n // k) - 1
         assert c.r1 == n - c.eta * c.k
         assert 1 <= c.r1 <= c.k
+
+    def test_counters_are_exact_past_float_precision(self):
+        # Float ceil(n / k) rounds 2**60 + 1 down by one and gave r1 = 3 > k.
+        c = compute_counters(2**60 + 1, 3, 2)
+        assert (c.r1, c.eta) == (1, 2**59)
+        assert (c.r2, c.beta) == (2, (2**60 - 1) // 3)
+        assert c.n == c.beta * c.t + c.r2
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
@@ -115,6 +122,12 @@ class TestListAssignment:
             ListAssignment(2, {0: [_Colour.RED, 2]})
         with pytest.raises(InputError):
             ListAssignment(0, {})
+
+    @pytest.mark.parametrize("value", [5, None, {1: 0, 2: 0}, {1, 2}, "12", range(1, 3)])
+    def test_a_list_that_is_not_a_list_or_tuple_is_an_input_error(self, value):
+        with pytest.raises(InputError) as caught:
+            ListAssignment(2, {0: [1, 2], 1: value})
+        assert str(caught.value) == "list of vertex 1 is not a list or tuple"
 
     @pytest.mark.parametrize("key", [True, 1.0, "1"])
     def test_only_exact_ints_are_vertex_keys(self, key):
@@ -242,6 +255,13 @@ class TestColourVertex:
         assert (context["size"], context["floor"]) == (1, 2)
         assert 1 not in state.colors
 
+    def test_first_block_holds_the_remainder(self):
+        # Three vertices in blocks of two: [0] alone, then [1, 2], as S_1 and
+        # the later layers are cut. Blocks from the start would pair 0 and 1.
+        state = self.make_state(Graph(3), {v: [1, 2] for v in range(3)})
+        colour_list(state, [0, 1, 2], [1, 1])
+        assert state.colors == {0: 1, 1: 1, 2: 2}
+
     def test_seeded_choice_stays_inside_list(self):
         for seed in range(10):
             state = self.make_state(
@@ -295,15 +315,24 @@ class TestReorder:
             reorder([0, 1], {0: 1, 1: 1}, 2)
 
     def test_repeated_prefix_colour_fails_the_window_check(self):
+        # The prefix [0, 1] is the first block; its second slot finds no fit.
         colors = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4}
         with pytest.raises(InvariantError) as exc:
             reorder([0, 1, 2, 3, 4], colors, 3)
-        assert str(exc.value) == "repeated colour inside a window after reorder"
-        assert exc.value.context == {"start": 0, "window": [0, 1, 2]}
+        assert str(exc.value) == "no pooled vertex fits the next slot"
+        assert exc.value.context == {"pool": [1], "forbidden": [1]}
+
+    def test_repeated_prefix_shorter_than_k_fails(self):
+        # No k-window fits in two slots, but the second slot still repeats
+        # the first one's colour within k - 1 places.
+        with pytest.raises(InvariantError, match="^no pooled vertex fits the next slot$"):
+            reorder([0, 1], {0: 1, 1: 1}, 3)
+        assert reorder((0, 1), {0: 1, 1: 2}, 3) == [0, 1]
 
     def test_window_check_fires_exactly_on_a_repeated_prefix(self):
-        # The greedy drain never repeats a colour within k places, so only a
-        # prefix (shorter than k) can: the first window, start 0, then fails.
+        # A rainbow block drains without a clash and a rainbow prefix keeps
+        # its order, so the per-slot check fails exactly when the prefix, of
+        # any length, repeats a colour, and it fails inside the prefix.
         rng = random.Random(4711)
         failed = 0
         for _ in range(400):
@@ -316,16 +345,17 @@ class TestReorder:
             for b in range(blocks):
                 colors.update(zip(s_col[x + b * k : x + (b + 1) * k], rng.sample(palette, k)))
             repeated = len({colors[v] for v in s_col[:x]}) < x
-            if repeated and len(s_col) >= k:
+            if repeated:
                 with pytest.raises(InvariantError) as exc:
                     reorder(s_col, colors, k)
                 failed += 1
-                window = exc.value.context["window"]
-                assert exc.value.context["start"] == 0
-                assert window[:x] == s_col[:x]
-                assert len(set(window)) == k and set(window) <= set(s_col)
+                assert str(exc.value) == "no pooled vertex fits the next slot"
+                pool = exc.value.context["pool"]
+                assert pool and set(pool) < set(s_col[:x])
+                assert {colors[v] for v in pool} <= set(exc.value.context["forbidden"])
             else:
                 out = reorder(s_col, colors, k)
+                assert out[:x] == s_col[:x]
                 for i in range(len(out) - k + 1):
                     assert len({colors[v] for v in out[i : i + k]}) == k
         assert failed > 0

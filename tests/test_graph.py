@@ -78,6 +78,18 @@ class TestGraph:
             g = Graph(2, [])
             g.neighbors(5)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+    def test_accessors_take_only_exact_int_ids(self, bad):
+        # True and 1.0 would index _adj as vertex 1; 1.5 would not index it.
+        g = Graph(3, [(0, 1)])
+        calls = [
+            lambda: g.neighbors(bad), lambda: g.degree(bad), lambda: g.adjacent(0, bad),
+            lambda: g.adjacent(bad, 0), lambda: induced_subgraph(g, [0, bad]),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=r"^vertex .* is not an int in \[0, 3\)$"):
+                call()
+
     @pytest.mark.parametrize(
         "bad", [(True, 0), (0, False), (_Id.ZERO, 1), (0.0, 1), ("0", 1), (0, None), (0, 1, 2), (1,), 5, "01"]
     )

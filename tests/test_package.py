@@ -251,7 +251,7 @@ def test_bench_tracer_installs_and_restores():
     tracing = load_tracer()
     g, _ = make_grid((2, 3, 4))
     p = partition3d((2, 3, 4))
-    lists = ListAssignment.uniform_random(g.n, 3, 6, Random(1))
+    lists = {t: ListAssignment.uniform_random(g.n, t, 6, Random(1)) for t in (3, 4)}
     before = eqcolor_bindings()
     tracer = tracing.Tracer(time.perf_counter_ns)
     tracer.install()
@@ -261,21 +261,26 @@ def test_bench_tracer_installs_and_restores():
             assert during[modname, attr] is not before[modname, attr], attr
         for attr in ("equitable_coloring", "colour_list", "reorder"):
             assert during["eqcolor.coloring", attr] is not before["eqcolor.coloring", attr], attr
-        # The phases are told apart by the colour_list calls around reorder.
-        eqcolor.equitable_coloring(g, p, lists)
-        spans, _ = tracer.take()
+        # The phases are told apart by the colour_list calls around reorder:
+        # one call colours S_col, its x block included, however x and rho fall.
+        names = []
+        for t, shape in ((3, (0, 0)), (4, (1, 2))):
+            trace = eqcolor.RunTrace()
+            eqcolor.equitable_coloring(g, p, lists[t], trace=trace)
+            assert (trace.counters.rho, trace.counters.x) == shape
+            spans, _ = tracer.take()
+            names.append([span[0] for span in spans if span[0].startswith("coloring.")])
     finally:
         tracer.uninstall()
-    names = [span[0] for span in spans if span[0].startswith("coloring.")]
-    assert names == [
+    phases = [
         "coloring.equitable_coloring",
         tracing.FIRST,
-        tracing.X_RHO,
         tracing.X_RHO,
         "coloring.reorder",
         "coloring.modify_colour_lists",
         tracing.GAMMA_K,
     ]
+    assert names == [phases, phases]
     after = eqcolor_bindings()
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]

@@ -25,7 +25,7 @@ from eqcolor import (
     search_kd_partition,
     verify_kd_partition,
 )
-from eqcolor.partition import _certified
+from eqcolor.partition import _blocks, _certified
 from oracles import (
     all_feasible_last_layers,
     first_back_degree_violation,
@@ -95,6 +95,19 @@ class TestKdPartition:
         assert p._verified[0] is g and p._verified[1] is not None
         assert (p == KdPartition(2, 1, [[0], [1, 2]]), hash(p), repr(p)) == before
         assert repr(p) == "KdPartition(k=2, d=1, layers=[[0], [1, 2]])"
+
+
+def test_blocks_cut_like_the_layers():
+    # The first block holds the remainder, 1..size items, and every later
+    # block holds size, as S_1 and the later layers of a partition do.
+    for n in range(21):
+        items = list(range(n))
+        for size in range(1, 7):
+            blocks = list(_blocks(items, size))
+            assert [v for block in blocks for v in block] == items
+            assert len(blocks) == -(-n // size)  # none for an empty input
+            assert not blocks or 1 <= len(blocks[0]) <= size
+            assert all(len(block) == size for block in blocks[1:])
 
 
 class TestVerify:
