@@ -98,9 +98,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     vertex id back to its original id (new ids follow ascending original
     ids).
     """
-    keep = sorted(set(vertices))
-    for v in keep:
+    vertices = list(vertices)
+    for v in vertices:  # first: an id that is no int may not hash or sort
         g._check(v)
+    keep = sorted(set(vertices))
     index = {old: new for new, old in enumerate(keep)}
     edges = []
     for old in keep:

@@ -167,7 +167,7 @@ class SearchResult:
 
 
 def _ordered_if_feasible(
-    g: Graph, subset: frozenset[int], degu: dict[int, int], d: int
+    g: Graph, subset: frozenset[int], degu: dict[int, int] | list[int], d: int
 ) -> list[int] | None:
     """Certifying order for subset as the last layer of degu's vertices, or None."""
     return _certified([(degu[v] - len(subset.intersection(g._adj[v])), v) for v in subset], d)
@@ -265,6 +265,15 @@ def search_kd_partition(
 def greedy_kd_partition(g: Graph, k: int, d: int) -> KdPartition | None:
     """One-pass heuristic: peel the k lowest-degree vertices per step.
 
+    Each step takes the k remaining vertices smallest by (remaining degree,
+    id), so ties go to the smaller id and no set order shows in the layers.
+    Degrees are counted once and lowered as each layer is peeled, once per
+    removed neighbour (smallest-last bookkeeping, as in Matula-Beck): O(m)
+    updates in all. Each step then scans the remaining set once, so the
+    peel takes O(n^2/k + m) time and O(n + m) memory. The layers are the
+    same as those of a peel that re-counts every remaining degree at every
+    step.
+
     Returns None as soon as a step's candidates admit no ordering; a
     returned partition always verifies.
     """
@@ -273,16 +282,22 @@ def greedy_kd_partition(g: Graph, k: int, d: int) -> KdPartition | None:
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
     adj = g._adj
+    degu = list(map(len, adj))  # degree among the remaining vertices
     universe = set(range(g.n))
     peeled_rev: list[list[int]] = []
     while len(universe) > k:
-        degu = {v: len(universe.intersection(adj[v])) for v in universe}
-        sset = frozenset(sorted(universe, key=lambda v: (degu[v], v))[:k])
+        # (degree, id) pairs: both walks of the unchanged set go in one order.
+        lowest = heapq.nsmallest(k, zip(map(degu.__getitem__, universe), universe))
+        sset = frozenset([v for _, v in lowest])
         layer = _ordered_if_feasible(g, sset, degu, d)
         if layer is None:
             return None
         peeled_rev.append(layer)
         universe -= sset
+        for v in sset:
+            for w in adj[v]:
+                if w in universe:
+                    degu[w] -= 1
     layers = [sorted(universe)] + peeled_rev[::-1]
     return KdPartition(k, d, layers)
 

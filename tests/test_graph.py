@@ -78,9 +78,10 @@ class TestGraph:
             g = Graph(2, [])
             g.neighbors(5)
 
-    @pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "a", None, [1]])
     def test_accessors_take_only_exact_int_ids(self, bad):
-        # True and 1.0 would index _adj as vertex 1; 1.5 would not index it.
+        # True and 1.0 would index _adj as vertex 1; 1.5 would not index it;
+        # "a" and None do not sort with 0, and [1] does not hash.
         g = Graph(3, [(0, 1)])
         calls = [
             lambda: g.neighbors(bad), lambda: g.degree(bad), lambda: g.adjacent(0, bad),

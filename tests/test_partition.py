@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 import sys
 from enum import IntEnum
@@ -422,6 +424,39 @@ class TestGreedy:
             assert (None if p is None else p.layers) == expected
             returned += expected is not None
         assert 0 < returned < 12
+        # Hundreds of steps, where a degree kept up to date as layers are
+        # peeled could drift from the oracle's recount.
+        returned = 0
+        for n, (pk, pd), (k, d) in [
+            (200, (3, 1), (3, 3)), (250, (2, 1), (2, 2)), (300, (3, 2), (3, 3)),
+            (350, (4, 3), (4, 5)), (400, (3, 2), (3, 4)),
+        ]:
+            g = gen_planted_partition(n, pk, pd, seed=n).graph
+            p = greedy_kd_partition(g, k, d)
+            expected = greedy_peel(g, k, d)
+            assert (None if p is None else p.layers) == expected
+            returned += expected is not None
+        assert 0 < returned < 5
+
+    def test_layers_match_recorded_digest(self):
+        # Pins the layers, or None, not just validity, on graphs too big for
+        # the bitmask oracle. Each planted (k, d) graph is peeled with a
+        # looser d: (3, 1) with (3, 3) is the benchmark's case and peels to
+        # the end, as (3, 2) with (3, 4) and (2, 1) with (2, 2) do; the
+        # others give up only after a third or more of their steps.
+        cases = [
+            ((3, 1), (3, 3)), ((3, 2), (3, 4)), ((2, 1), (2, 2)),
+            ((3, 1), (3, 2)), ((3, 2), (3, 3)), ((4, 2), (4, 4)), ((4, 3), (4, 5)),
+        ]
+        digest = hashlib.sha256()
+        for n, seed in [(300, 1), (300, 2), (1_000, 3), (2_000, 4)]:
+            for (pk, pd), (k, d) in cases:
+                p = greedy_kd_partition(gen_planted_partition(n, pk, pd, seed=seed).graph, k, d)
+                record = [n, seed, pk, pd, k, d, None if p is None else p.layers]
+                digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == (
+            "e05677e3a0832da2b762b175fd865cb6b9173fc466639d1f3062e63595a69c66"
+        )
 
     def test_succeeds_on_planted_instances(self):
         for seed in range(20):

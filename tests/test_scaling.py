@@ -1,11 +1,12 @@
 """Doubling gates for the document stages (parse, build and write), the
-grid builders, the planted-graph generator, the partition verifier, list
-generation, degeneracy, the colouring verifier and the colouring plan's
-build.
+grid builders, the planted-graph generator, the greedy partition, the
+partition verifier, list generation, degeneracy, the colouring verifier and
+the colouring plan's build.
 
 Each stage runs on two 3-D grids, 10x10x10 and 10x20x20, so n grows by 4x
 and the edge and list rows with it; the generator builds a planted graph
-of the same n. The measure is the stage's ``tracemalloc`` peak, which is
+of the same n, and the greedy peels a planted graph of that n, built
+beforehand. The measure is the stage's ``tracemalloc`` peak, which is
 the same on every run for a fixed input, so the gate needs no timing. A linear stage reads a ratio near 4; a
 quadratic one would read about 16.
 """
@@ -25,6 +26,7 @@ from eqcolor import (
     degeneracy,
     equitable_coloring,
     gen_planted_partition,
+    greedy_kd_partition,
     make_grid,
     partition3d,
     verify_equitable_list_coloring,
@@ -66,6 +68,8 @@ def _inputs(dims):
         "lists_text": dump(lists_to_obj(lists)),
         "partition_text": dump(partition_to_obj(p)),
         "coloring_text": dump(coloring_to_obj(coloring)),
+        # (3, 1) layers, so the greedy's (3, 3) peels the whole graph.
+        "planted": gen_planted_partition(g.n, 3, 1, seed=1).graph,
     }
 
 
@@ -81,6 +85,7 @@ STAGES = {
     "make_grid": lambda x: make_grid(x["dims"]),
     "partition3d": lambda x: partition3d(x["dims"]),
     "gen_planted_partition": lambda x: gen_planted_partition(x["graph"].n, 4, 3, seed=1),
+    "greedy_kd_partition": lambda x: greedy_kd_partition(x["planted"], 3, 3),
     "degeneracy": lambda x: degeneracy(x["graph"]),
     "verify_kd_partition": lambda x: verify_kd_partition(x["graph"], x["unstamped_partition"]),
     "uniform_random": lambda x: ListAssignment.uniform_random(x["graph"].n, 4, 8, Random(6)),
