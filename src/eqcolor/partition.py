@@ -12,7 +12,7 @@ import heapq
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations, compress, count, filterfalse, islice
 
 from .errors import InputError
 from .graph import Graph
@@ -167,44 +167,119 @@ class SearchResult:
 
 
 def _ordered_if_feasible(
-    g: Graph, subset: frozenset[int], degu: dict[int, int] | list[int], d: int
+    g: Graph, subset: frozenset[int], degu: list[int], d: int
 ) -> list[int] | None:
     """Certifying order for subset as the last layer of degu's vertices, or None."""
     return _certified([(degu[v] - len(subset.intersection(g._adj[v])), v) for v in subset], d)
 
 
-def _last_layer_candidates(
-    g: Graph, universe: frozenset[int], k: int, d: int
-) -> Iterator[list[int] | None]:
-    """Certifying order, or None, of each candidate last layer of universe.
+def _ones(flags: bytearray, start: int = 0) -> Iterator[int]:
+    """Indices of the nonzero bytes of flags from start up, read as asked for."""
+    start = flags.find(1, start)  # a memchr over the zeros before the first
+    return compress(count(start), memoryview(flags)[start:]) if start >= 0 else iter(())
 
-    Candidates come in the order of combinations(sorted(universe), k) and
+
+def _completions(
+    member: bytearray, k: int, base: tuple[int, ...], closed: set[int], start: int = 0
+) -> Iterator[list[int]]:
+    """Sorted base plus each set of members outside closed, from start up,
+    that fills it to k: lexicographic, reading member as far as used."""
+    others = filterfalse(closed.__contains__, _ones(member, start))
+    if len(base) == k - 1:
+        yield from map(sorted, map(base.__add__, zip(others)))
+    else:
+        for x in others:
+            yield from _completions(member, k, base + (x,), closed, x + 1)
+
+
+class _Remaining:
+    """One search's remaining vertices, kept across its levels: byte flags
+    left, member (remaining degree <= d*k + k - 2) and anchor (<= d + k - 2),
+    remaining degrees degu, and key, the XOR of a hash word per vertex out."""
+
+    def __init__(self, g: Graph, k: int, d: int) -> None:
+        # A layer's vertex keeps at most d*k - 1 neighbours outside it and k - 1
+        # inside; its anchor drops at most d - 1 and keeps at most k - 1.
+        self.adj, self.top, self.low = g._adj, d * k + k - 2, d + k - 2
+        self.degu = list(map(len, g._adj))
+        self.left = bytearray(b"\x01") * g.n
+        self.member = bytearray(map(self.top.__ge__, self.degu))
+        self.anchor = bytearray(map(self.low.__ge__, self.degu))
+        self.key = 0
+
+    def peel(self, layer: Sequence[int], step: int) -> None:
+        """Take layer out (step -1) or put it back (step 1): O(its degrees)."""
+        left, degu, member, anchor = self.left, self.degu, self.member, self.anchor
+        top, low = self.top, self.low
+        for v in layer:
+            self.key ^= hash((v, -1))  # a fixed pseudo-random word per vertex
+            left[v] = member[v] = anchor[v] = 0
+        for w in chain.from_iterable(map(self.adj.__getitem__, layer)):
+            if left[w]:
+                e = degu[w] = degu[w] + step
+                member[w], anchor[w] = e <= top, e <= low
+        for v in layer if step > 0 else ():
+            left[v], member[v], anchor[v] = 1, degu[v] <= top, degu[v] <= low
+
+
+def _last_layer_candidates(
+    g: Graph, rem: _Remaining, k: int, d: int
+) -> Iterator[list[int] | None]:
+    """Certifying order, or None, of each candidate last layer of rem.
+
+    Candidates come in the order of combinations(sorted(remaining), k) and
     include every feasible layer: its position-1 vertex v (the anchor) has
     at most d - 1 neighbours outside it, so it is v's closed neighbourhood
-    in universe minus at most d - 1 dropped neighbours, plus a completion.
-    With a fixed base, lexicographic completions give lexicographic
-    layers, so the merged streams are ordered and repeats are adjacent.
+    minus at most d - 1 dropped neighbours, plus other members. Each base
+    streams its layers in order, reading members only as far as used, and
+    opens when the merge pops it. Anchors open in id order while their
+    least layer, the k - 1 smallest members P plus max(v, the k-th), can
+    beat the top; while the top starts with P, so does any layer below it,
+    and an anchor that needs a neighbour outside P waits until it leaves P.
+    A level thus costs the anchors it opens and the layers it pops, and
+    keeps only their streams. rem must hold this level's set when it runs.
     """
-    adj = g._adj
-    degu = {v: len(universe.intersection(adj[v])) for v in universe}
-    # A member keeps at most d*k - 1 external and k - 1 internal neighbours.
-    members = sorted(v for v in universe if degu[v] <= d * k + k - 2)
-    eligible = set(members)
-    streams = []
-    for v in members:
-        if degu[v] > d + k - 2:  # v would drop over d - 1 or keep over k - 1
+    adj, left, member, degu = g._adj, rem.left, rem.member, rem.degu
+    heap, first, near, waiting, last = [], None, None, [], None
+
+    anchors = _ones(rem.anchor)
+    v = next(anchors, None)
+    while True:
+        while v is not None:
+            if heap:  # then k members exist
+                first = first or list(islice(_ones(member), k))
+                if first[:-1] + [max(v, first[-1])] > heap[0][0]:
+                    break
+            if heap and degu[v] >= d and heap[0][0][:-1] == first[:-1] and v not in (
+                near := near or set(first[:-1]).union(*map(adj.__getitem__, first[:-1]))
+            ):
+                waiting.append(v)
+            else:
+                nbrs = [u for u in adj[v] if left[u]]
+                closed = {v, *nbrs}
+                for size in range(max(0, len(nbrs) + 1 - k), min(d - 1, len(nbrs)) + 1):
+                    for dropped in combinations(nbrs, size):
+                        base = tuple(sorted(closed.difference(dropped)))
+                        if all(map(member.__getitem__, base)):
+                            if len(base) == k:  # base is its stream's one layer
+                                head, stream = list(base), iter(())
+                            else:  # the stream opens when popped, past its head
+                                head = next(_completions(member, k, base, closed), None)
+                                stream = islice(_completions(member, k, base, closed), 1, None)
+                            if head:
+                                heapq.heappush(heap, (head, id(stream), stream))
+            v = next(anchors, None)
+        if waiting and (not heap or heap[0][0][:-1] != first[:-1]):  # so v is None
+            anchors, waiting = iter(waiting), []
+            v = next(anchors)
             continue
-        nset = set(adj[v])
-        nbrs = [u for u in adj[v] if u in universe]
-        others = [u for u in members if u != v and u not in nset]
-        for size in range(max(0, len(nbrs) + 1 - k), min(d - 1, len(nbrs)) + 1):
-            for dropped in combinations(nbrs, size):
-                base = tuple(sorted({v, *nbrs}.difference(dropped)))
-                if eligible.issuperset(base):
-                    completions = combinations(others, k - len(base))
-                    streams.append(map(sorted, map(base.__add__, completions)))
-    last = None
-    for cand in heapq.merge(*streams):
+        if not heap:
+            return
+        cand, tie, stream = heap[0]  # tie: id(stream), unique while stream is held
+        if (head := next(stream, None)) is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (head, tie, stream))
         if cand != last:
             last = cand
             yield _ordered_if_feasible(g, frozenset(cand), degu, d)
@@ -219,9 +294,13 @@ def search_kd_partition(
     layers in lexicographic order of sorted vertex ids, so a found
     partition is the lexicographically first peel sequence.  Candidates
     are built around anchors: a vertex of degree at most d + k - 2 plus
-    all but at most d - 1 of its remaining neighbours.  Remaining-vertex
-    sets proved dead are not searched twice in a call, and backtracking
-    uses an explicit stack, not recursion.
+    all but at most d - 1 of its remaining neighbours.  One _Remaining
+    serves every level; a peel updates only the layer's neighbours and a
+    pop undoes it, so a level costs the anchors and candidates it opens
+    and the stack keeps only each level's layer and open streams.  Sets
+    proved dead are not searched twice in a call: they are keyed by an XOR
+    hash (Zobrist) and a stored copy confirms a hit.  Backtracking uses an
+    explicit stack, not recursion.
 
     `expanded` counts distinct candidate subsets tested, and the budget
     bounds it.  PROVED_ABSENT is returned only when the whole space was
@@ -233,32 +312,33 @@ def search_kd_partition(
         raise InputError(f"budget must be None or an integer, got {budget!r}")
     if g.n < 1:
         raise InputError("graph must have at least one vertex")
-    universe = frozenset(range(g.n))
     if g.n <= k:
-        return SearchResult(SearchStatus.FOUND, KdPartition(k, d, [sorted(universe)]), 0)
-    expanded = 0
-    dead: set[frozenset[int]] = set()
-    stack = [(universe, _last_layer_candidates(g, universe, k, d))]
-    peeled: list[list[int]] = []
+        return SearchResult(SearchStatus.FOUND, KdPartition(k, d, [list(range(g.n))]), 0)
+    rem, expanded, dead, peeled = _Remaining(g, k, d), 0, {}, []
+    stack = [_last_layer_candidates(g, rem, k, d)]
     while stack:
-        universe, candidates = stack[-1]
-        for layer in candidates:
+        for layer in stack[-1]:
             if budget is not None and expanded >= budget:
                 return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, expanded)
             expanded += 1
-            if layer is None or (rest := universe.difference(layer)) in dead:
+            if layer is None:
+                continue
+            if g.n - k * len(peeled) <= 2 * k:  # the rest, at most k, was never pushed or dead
+                rest = sorted(set(compress(range(g.n), rem.left)).difference(layer))
+                layers = [rest, layer, *peeled[::-1]]
+                return SearchResult(SearchStatus.FOUND, KdPartition(k, d, layers), expanded)
+            rem.peel(layer, -1)
+            if dead.get(rem.key) == rem.left:
+                rem.peel(layer, 1)
                 continue
             peeled.append(layer)
-            if len(rest) <= k:
-                layers = [sorted(rest)] + peeled[::-1]
-                return SearchResult(SearchStatus.FOUND, KdPartition(k, d, layers), expanded)
-            stack.append((rest, _last_layer_candidates(g, rest, k, d)))
+            stack.append(_last_layer_candidates(g, rem, k, d))
             break
         else:
-            dead.add(universe)
+            dead[rem.key] = bytes(rem.left)
             stack.pop()
             if peeled:
-                peeled.pop()
+                rem.peel(peeled.pop(), 1)
     return SearchResult(SearchStatus.PROVED_ABSENT, None, expanded)
 
 
@@ -312,6 +392,6 @@ def enumerate_last_layers(g: Graph, k: int, d: int) -> Iterator[list[int]]:
         raise InputError("k and d must be positive")
     if g.n < k:
         raise InputError(f"graph has {g.n} vertices, need at least k={k}")
-    for layer in _last_layer_candidates(g, frozenset(range(g.n)), k, d):
+    for layer in _last_layer_candidates(g, _Remaining(g, k, d), k, d):
         if layer is not None:
             yield layer

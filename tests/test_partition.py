@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -24,6 +25,7 @@ from eqcolor import (
     gen_gq,
     gen_planted_partition,
     greedy_kd_partition,
+    make_grid,
     search_kd_partition,
     verify_kd_partition,
 )
@@ -319,7 +321,7 @@ class TestSearch:
         res = search_kd_partition(bundle.graph, 7, 1, budget=5)
         assert res.status is SearchStatus.BUDGET_EXHAUSTED
         assert res.partition is None
-        assert res.expanded >= 5
+        assert res.expanded == 5
         # A negative budget is spent before the first candidate.
         res = search_kd_partition(bundle.graph, 7, 1, budget=-1)
         assert res.status is SearchStatus.BUDGET_EXHAUSTED and res.expanded == 0
@@ -375,8 +377,58 @@ class TestSearch:
                 found += 1
         assert 0 < found < 300
 
+    def test_results_match_recorded_digest(self):
+        # Pins status, expanded count and layers, not just validity: the
+        # clique chains, every small 3-D grid, random graphs, budgets cut
+        # mid-search, and the enumerator's layers on the same graphs.
+        def record(res):
+            layers = None if res.partition is None else res.partition.layers
+            return [res.status.value, res.expanded, layers]
+
+        digest = hashlib.sha256()
+        expanded = []
+        for q, k in [(1, 5), (1, 6), (1, 7), (2, 6), (2, 7)]:
+            res = search_kd_partition(gen_gq(q).graph, k, 1)
+            expanded.append(res.expanded)
+            digest.update(json.dumps(record(res)).encode())
+            layers = sorted(enumerate_last_layers(gen_gq(q).graph, k, 1))
+            digest.update(json.dumps(layers).encode())
+        assert expanded == [0, 2, 8, 4, 177]
+        for dims in itertools.product(range(2, 5), repeat=3):
+            g = make_grid(dims)[0]
+            digest.update(json.dumps([dims, record(search_kd_partition(g, 3, 2))]).encode())
+        for budget in (1, 5, 50):
+            res = search_kd_partition(gen_gq(2).graph, 7, 1, budget=budget)
+            digest.update(json.dumps([budget, record(res)]).encode())
+        rng = random.Random(2626)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.random(), rng)
+            k, d = rng.randint(1, min(4, n)), rng.randint(1, 3)
+            digest.update(json.dumps([g.edges(), k, d, record(search_kd_partition(g, k, d))]).encode())
+            digest.update(json.dumps(sorted(enumerate_last_layers(g, k, d))).encode())
+        assert digest.hexdigest() == (
+            "798a206ddec09f5f94634b4ba3eeb63a0ab1ae61b3ce9e0f8e98102db99e8807"
+        )
+
+    def test_leaves_no_cyclic_garbage(self):
+        # A reference cycle per level would outlive the call and feed the
+        # collector, which every later allocation in the process pays for.
+        graphs = [(gen_gq(2).graph, 7, 1), (make_grid((4, 5, 6))[0], 3, 2)]
+        gc.collect()
+        gc.disable()
+        try:
+            for g, k, d in graphs:
+                search_kd_partition(g, k, d)
+                list(enumerate_last_layers(g, k, d))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_depth_is_not_bounded_by_recursion_limit(self):
-        g = Graph(300)
+        # 3,000 levels, each with every remaining vertex an anchor: a level
+        # that scanned all its anchors would make this quadratic.
+        g = Graph(3_000)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(100)
         try:

@@ -1,13 +1,15 @@
 """Doubling gates for the document stages (parse, build and write), the
 grid builders, the planted-graph generator, the greedy partition, the
-partition verifier, list generation, degeneracy, the colouring verifier and
-the colouring plan's build.
+exact partition search, the partition verifier, list generation,
+degeneracy, the colouring verifier and the colouring plan's build.
 
 Each stage runs on two 3-D grids, 10x10x10 and 10x20x20, so n grows by 4x
 and the edge and list rows with it; the generator builds a planted graph
 of the same n, and the greedy peels a planted graph of that n, built
-beforehand. The measure is the stage's ``tracemalloc`` peak, which is
-the same on every run for a fixed input, so the gate needs no timing. A linear stage reads a ratio near 4; a
+beforehand. The search finds a (3, 2) partition of the grid, and takes
+one candidate, at budget 1, on that planted graph. The measure is the
+stage's ``tracemalloc`` peak, which is the same on every run for a fixed
+input, so the gate needs no timing. A linear stage reads a ratio near 4; a
 quadratic one would read about 16.
 """
 
@@ -29,6 +31,7 @@ from eqcolor import (
     greedy_kd_partition,
     make_grid,
     partition3d,
+    search_kd_partition,
     verify_equitable_list_coloring,
     verify_kd_partition,
 )
@@ -86,6 +89,8 @@ STAGES = {
     "partition3d": lambda x: partition3d(x["dims"]),
     "gen_planted_partition": lambda x: gen_planted_partition(x["graph"].n, 4, 3, seed=1),
     "greedy_kd_partition": lambda x: greedy_kd_partition(x["planted"], 3, 3),
+    "search_kd_partition": lambda x: search_kd_partition(x["graph"], 3, 2),
+    "search_kd_partition-budget": lambda x: search_kd_partition(x["planted"], 3, 2, budget=1),
     "degeneracy": lambda x: degeneracy(x["graph"]),
     "verify_kd_partition": lambda x: verify_kd_partition(x["graph"], x["unstamped_partition"]),
     "uniform_random": lambda x: ListAssignment.uniform_random(x["graph"].n, 4, 8, Random(6)),
